@@ -89,12 +89,13 @@ type report struct {
 // nowStamp is the shared timestamp format of every report.
 func nowStamp() string { return time.Now().UTC().Format(time.RFC3339) }
 
-// scenario couples a benchmark body with its description. Bodies must call
-// b.ReportMetric(..., "events/s") like the _test.go versions they mirror.
+// scenario couples a benchmark body with its description. Bodies run on the
+// given engine core and must call b.ReportMetric(..., "events/s") like the
+// _test.go versions they mirror.
 type scenario struct {
 	name   string
 	detail string
-	run    func(b *testing.B)
+	run    func(b *testing.B, core sim.Core)
 }
 
 func scenarios() []scenario {
@@ -127,10 +128,12 @@ func scenarios() []scenario {
 }
 
 // engineThroughput mirrors BenchmarkEngineThroughput in bench_test.go.
-func engineThroughput(b *testing.B) {
+func engineThroughput(b *testing.B, core sim.Core) {
 	var fired uint64
 	for i := 0; i < b.N; i++ {
-		c := coschedsim.MustBuild(coschedsim.Vanilla(8, 16, int64(i+1)))
+		cfg := coschedsim.Vanilla(8, 16, int64(i+1))
+		cfg.Core = core
+		c := coschedsim.MustBuild(cfg)
 		res, err := coschedsim.RunAggregate(c, coschedsim.AggregateSpec{
 			Loops: 1, CallsPerLoop: 128,
 		}, coschedsim.Hour)
@@ -143,10 +146,10 @@ func engineThroughput(b *testing.B) {
 }
 
 // nodeTickHeavy mirrors BenchmarkNodeTickHeavy in internal/kernel.
-func nodeTickHeavy(b *testing.B) {
+func nodeTickHeavy(b *testing.B, core sim.Core) {
 	var fired uint64
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(int64(i + 1))
+		eng := sim.NewEngineWithCore(int64(i+1), core)
 		opts := kernel.VanillaOptions(16)
 		opts.UsageDecay = true
 		n := kernel.MustNode(eng, 0, opts)
@@ -174,8 +177,8 @@ func nodeTickHeavy(b *testing.B) {
 }
 
 // scheduleFire mirrors BenchmarkEngineScheduleFire in internal/sim.
-func scheduleFire(b *testing.B) {
-	e := sim.NewEngine(1)
+func scheduleFire(b *testing.B, core sim.Core) {
+	e := sim.NewEngineWithCore(1, core)
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
 		e.After(sim.Time(i%97)+1, "bench", fn)
@@ -185,8 +188,8 @@ func scheduleFire(b *testing.B) {
 }
 
 // churn1k mirrors BenchmarkEngineChurn1k in internal/sim.
-func churn1k(b *testing.B) {
-	e := sim.NewEngine(1)
+func churn1k(b *testing.B, core sim.Core) {
+	e := sim.NewEngineWithCore(1, core)
 	fn := func() {}
 	var standing []*sim.Event
 	for i := 0; i < 1024; i++ {
@@ -209,12 +212,10 @@ func churn1k(b *testing.B) {
 // auto-calibrates each run to ~1s) and keeps the fastest run — the standard
 // way to reject scheduler and frequency noise on a shared machine.
 func measure(s scenario, core sim.Core, reps int) measurement {
-	prev := sim.DefaultCore
-	sim.DefaultCore = core
-	defer func() { sim.DefaultCore = prev }()
+	body := func(b *testing.B) { s.run(b, core) }
 	var best measurement
 	for i := 0; i < reps; i++ {
-		r := testing.Benchmark(s.run)
+		r := testing.Benchmark(body)
 		m := measurement{
 			EventsPerSec: r.Extra["events/s"],
 			NsPerOp:      r.NsPerOp(),
@@ -241,45 +242,9 @@ type pdesMeasurement struct {
 	BarrierStallMs  float64 `json:"barrier_stall_ms"`
 }
 
-// optMeasurement is one optimistic (Time Warp) run of a pdes scenario:
-// throughput plus the speculation statistics behind it. Unlike the
-// conservative window statistics, rollback counts depend on worker timing
-// and vary run to run — they describe this measurement, not a determinism
-// pin (the simulation *outputs* stay bit-identical regardless).
-type optMeasurement struct {
-	Workers          int     `json:"workers"`
-	EventsPerSec     float64 `json:"events_per_s"`
-	NsPerOp          int64   `json:"ns_per_op"`
-	Iterations       int     `json:"iterations"`
-	SpeedupVsSerial  float64 `json:"speedup_vs_serial"`
-	SpeedupVsSharded float64 `json:"speedup_vs_sharded,omitempty"`
-	GVTWaves         uint64  `json:"gvt_waves"`
-	CommittedEvents  uint64  `json:"committed_events"`
-	// CommittedSegments counts speculation segments retired by the
-	// generalized commit bound; committed_events/committed_segments is the
-	// mean segment length, and gvt_waves/committed_segments ~ how many GVT
-	// sweeps a segment waits before commitment.
-	CommittedSegments uint64 `json:"committed_segments"`
-	SpeculatedEvents  uint64 `json:"speculated_events"`
-	Rollbacks         uint64 `json:"rollbacks"`
-	RolledBackEvents  uint64 `json:"rolled_back_events"`
-	AntiMessages      uint64 `json:"anti_messages"`
-	// Snap* aggregate the dirty-tracked checkpoint traffic across every
-	// incremental layer: bytes actually copied into / restored from
-	// pre-image records, entries copied, and entries skipped because the
-	// segment never touched them (the dirty-tracking win).
-	SnapSaveBytes      uint64  `json:"snap_save_bytes"`
-	SnapRestoreBytes   uint64  `json:"snap_restore_bytes"`
-	SnapEntriesSaved   uint64  `json:"snap_entries_saved"`
-	SnapEntriesSkipped uint64  `json:"snap_entries_skipped"`
-	Window             int     `json:"window"`
-	BarrierStallMs     float64 `json:"barrier_stall_ms"`
-}
-
-// pdesComparison is one scenario: the serial wheel baseline, the sharded
-// (conservative) runs and the optimistic (Time Warp) runs at each worker
-// count. GOMAXPROCS/NumCPU are recorded per scenario so single-core
-// artifacts are self-describing.
+// pdesComparison is one scenario: the serial wheel baseline and the sharded
+// runs at each worker count. GOMAXPROCS/NumCPU are recorded per scenario so
+// single-core artifacts are self-describing.
 type pdesComparison struct {
 	Name       string            `json:"name"`
 	Detail     string            `json:"detail"`
@@ -287,7 +252,6 @@ type pdesComparison struct {
 	NumCPU     int               `json:"num_cpu"`
 	Serial     measurement       `json:"serial_wheel"`
 	Sharded    []pdesMeasurement `json:"sharded"`
-	Optimistic []optMeasurement  `json:"optimistic"`
 }
 
 // pdesReport is the bench_pdes.json schema.
@@ -314,10 +278,6 @@ type pdesScenario struct {
 	lookahead sim.Time // overrides the fabric latency (= conservative lookahead)
 	ale3d     bool
 	group     int // nodes per event shard (0 = automatic coarsening)
-	// core/memWorkers pin an engine core and intra-run worker count for the
-	// -mode mem scenarios (zero values: serial wheel).
-	core       sim.Core
-	memWorkers int
 }
 
 func pdesScenarios() []pdesScenario {
@@ -350,18 +310,16 @@ func pdesScenarios() []pdesScenario {
 		{
 			name: "pdes-opt-shortlook-8",
 			detail: "the jittered 8-node scenario with the fabric latency cut to " +
-				"6us: the conservative window (= lookahead) shrinks 4x, starving " +
-				"the sharded core — the regime the optimistic (Time Warp) core " +
-				"exists for, speculating past the lookahead wall",
+				"6us: the conservative window (= lookahead) shrinks 4x, the " +
+				"sharded core's short-lookahead point",
 			nodes: 8, calls: 128, jitter: 2 * coschedsim.Microsecond,
 			lookahead: 6 * coschedsim.Microsecond,
 		},
 		{
 			name: "pdes-opt-group-16",
 			detail: "the short-lookahead jittered scenario at 16 nodes with 4 " +
-				"nodes per event shard: coarsened shards amortize the optimistic " +
-				"core's per-shard segment/snapshot overhead and cut the GVT " +
-				"fixpoint's per-shard scan, at the cost of wider rollback scope",
+				"nodes per event shard: the sharded core's explicit-grouping " +
+				"point, where coarsened shards amortize per-shard dispatch",
 			nodes: 16, calls: 128, jitter: 2 * coschedsim.Microsecond,
 			lookahead: 6 * coschedsim.Microsecond, group: 4,
 		},
@@ -412,21 +370,20 @@ func pdesRun(s pdesScenario, c *coschedsim.Cluster) error {
 }
 
 // pdesBody builds a benchmark body running the scenario with the given
-// intra-run worker count (0 = serial wheel engine).
-func pdesBody(s pdesScenario, workers int) func(b *testing.B) {
-	return func(b *testing.B) {
+// intra-run worker count (0 = serial engine of the measured core).
+func pdesBody(s pdesScenario, workers int) func(b *testing.B, core sim.Core) {
+	return func(b *testing.B, core sim.Core) {
 		var fired uint64
 		for i := 0; i < b.N; i++ {
-			c := coschedsim.MustBuild(pdesConfig(s, workers, int64(i+1)))
+			cfg := pdesConfig(s, workers, int64(i+1))
+			cfg.Core = core
+			c := coschedsim.MustBuild(cfg)
 			if err := pdesRun(s, c); err != nil {
 				b.Fatal(err)
 			}
-			switch {
-			case c.Group != nil:
+			if c.Group != nil {
 				fired += c.Group.Fired()
-			case c.OptGroup != nil:
-				fired += c.OptGroup.Fired()
-			default:
+			} else {
 				fired += c.Eng.Fired()
 			}
 		}
@@ -447,20 +404,6 @@ func pdesStats(s pdesScenario, workers int) (sim.GroupStats, float64) {
 		avg = float64(gs.ActiveShardWindows) / float64(gs.Windows)
 	}
 	return gs, avg
-}
-
-// pdesOptStats runs the scenario once on the optimistic core to collect its
-// speculation statistics. Rollback counts vary with worker timing, so this
-// is a representative sample, not a pinned value.
-func pdesOptStats(s pdesScenario, workers int) sim.OptStats {
-	prev := sim.DefaultCore
-	sim.DefaultCore = sim.CoreOptimistic
-	defer func() { sim.DefaultCore = prev }()
-	c := coschedsim.MustBuild(pdesConfig(s, workers, 1))
-	if err := pdesRun(s, c); err != nil || c.OptGroup == nil {
-		return sim.OptStats{}
-	}
-	return c.OptGroup.Stats()
 }
 
 // runPDES measures the pdes scenarios and writes bench_pdes.json.
@@ -509,40 +452,6 @@ func runPDES(out string, reps int) {
 			}
 			fmt.Fprintf(os.Stderr, " %.2fx", pm.SpeedupVsSerial)
 			cmp.Sharded = append(cmp.Sharded, pm)
-		}
-		for _, w := range workerCounts {
-			fmt.Fprintf(os.Stderr, ", opt w=%d...", w)
-			m := measure(scenario{name: s.name, run: pdesBody(s, w)}, sim.CoreOptimistic, reps)
-			os_ := pdesOptStats(s, w)
-			om := optMeasurement{
-				Workers:            w,
-				EventsPerSec:       m.EventsPerSec,
-				NsPerOp:            m.NsPerOp,
-				Iterations:         m.Iterations,
-				GVTWaves:           os_.GVTWaves,
-				CommittedEvents:    os_.CommittedEvents,
-				CommittedSegments:  os_.CommittedSegments,
-				SpeculatedEvents:   os_.SpeculatedEvents,
-				Rollbacks:          os_.Rollbacks,
-				RolledBackEvents:   os_.RolledBackEvents,
-				AntiMessages:       os_.AntiMessages,
-				SnapSaveBytes:      os_.SnapSaveBytes,
-				SnapRestoreBytes:   os_.SnapRestoreBytes,
-				SnapEntriesSaved:   os_.SnapEntriesSaved,
-				SnapEntriesSkipped: os_.SnapEntriesSkipped,
-				Window:             os_.Window,
-				BarrierStallMs:     float64(os_.BarrierStallNs) / 1e6,
-			}
-			if serial.EventsPerSec > 0 {
-				om.SpeedupVsSerial = m.EventsPerSec / serial.EventsPerSec
-			}
-			for _, pm := range cmp.Sharded {
-				if pm.Workers == w && pm.EventsPerSec > 0 {
-					om.SpeedupVsSharded = m.EventsPerSec / pm.EventsPerSec
-				}
-			}
-			fmt.Fprintf(os.Stderr, " %.2fx", om.SpeedupVsSerial)
-			cmp.Optimistic = append(cmp.Optimistic, om)
 		}
 		fmt.Fprintln(os.Stderr)
 		rep.Scenarios = append(rep.Scenarios, cmp)
@@ -659,44 +568,6 @@ func runPDESCheck(against string, reps int, tolerance float64) {
 		}
 		fmt.Fprintf(os.Stderr, "%-18s %.3gM ev/s vs committed %.3gM ev/s (%.2fx) %s\n",
 			s.name, got.EventsPerSec/1e6, ref.EventsPerSec/1e6, ratio, status)
-	}
-	// The optimistic (Time Warp) core gets its own guard with a fixed 20%
-	// tolerance: its short-lookahead scenario is the core's raison d'être,
-	// and a regression there means speculation overhead crept back in.
-	const optTolerance = 0.20
-	optWant := map[string]float64{}
-	for _, c := range committed.Scenarios {
-		for _, om := range c.Optimistic {
-			if om.Workers == 2 {
-				optWant[c.Name] = om.EventsPerSec
-			}
-		}
-	}
-	optGuarded := []string{"pdes-opt-shortlook-8", "pdes-opt-group-16"}
-	for _, s := range pdesScenarios() {
-		keep := false
-		for _, g := range optGuarded {
-			if s.name == g {
-				keep = true
-			}
-		}
-		if !keep {
-			continue
-		}
-		ref, ok := optWant[s.name]
-		if !ok || ref <= 0 {
-			missing = append(missing, s.name+" (optimistic)")
-			continue
-		}
-		got := measure(scenario{name: s.name, run: pdesBody(s, 2)}, sim.CoreOptimistic, reps)
-		ratio := got.EventsPerSec / ref
-		status := "ok"
-		if ratio < 1-optTolerance {
-			status = "REGRESSION"
-			failed = true
-		}
-		fmt.Fprintf(os.Stderr, "%-18s optimistic %.3gM ev/s vs committed %.3gM ev/s (%.2fx) %s\n",
-			s.name, got.EventsPerSec/1e6, ref/1e6, ratio, status)
 	}
 	failMissingGuards(missing, against, "bench-pdes")
 	if failed {

@@ -56,8 +56,8 @@ func run() int {
 		seed := fs.Int64("seed", 1, "base RNG seed")
 		procs := fs.Int("procs", 0, "total worker budget (0 = GOMAXPROCS, 1 = serial)")
 		shardProcs := fs.Int("shard-procs", 0, "workers per single run on the sharded engine core (carved out of -procs; 0/1 = serial engine per run)")
-		shardGroup := fs.Int("shard-group", 0, "nodes per event shard under the sharded/optimistic cores (0 = automatic coarsening)")
-		core := fs.String("core", "", "engine core per simulation: heap, wheel, sharded or optimistic (default wheel; outputs are bit-identical across cores)")
+		shardGroup := fs.Int("shard-group", 0, "nodes per event shard under the sharded core (0 = automatic coarsening)")
+		core := fs.String("core", "", "engine core per simulation: heap, wheel or sharded (default wheel; outputs are bit-identical across cores)")
 		csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 		verbose := fs.Bool("v", false, "print per-run progress")
 		checkpoint := fs.String("checkpoint", "", "append per-run results to this JSONL file as the sweep progresses")
@@ -117,28 +117,25 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "parsim: -resume needs -checkpoint FILE to replay from")
 			return 2
 		}
+		var engineCore sim.Core
 		switch *core {
-		case "":
+		case "", "wheel":
+			engineCore = sim.CoreWheel
 		case "heap":
-			sim.DefaultCore = sim.CoreHeap
-		case "wheel":
-			sim.DefaultCore = sim.CoreWheel
+			engineCore = sim.CoreHeap
 		case "sharded":
-			sim.DefaultCore = sim.CoreSharded
-		case "optimistic":
-			sim.DefaultCore = sim.CoreOptimistic
+			engineCore = sim.CoreSharded
 		default:
-			fmt.Fprintf(os.Stderr, "parsim: -core %q: pick heap, wheel, sharded or optimistic\n", *core)
+			fmt.Fprintf(os.Stderr, "parsim: -core %q: pick heap, wheel or sharded\n", *core)
 			return 2
 		}
-		// -shard-group only means something when runs execute on a sharded
-		// engine (conservative or optimistic); reject the combination up
-		// front rather than silently ignoring the flag on the serial cores.
+		// -shard-group only means something when runs execute on the sharded
+		// engine; reject the combination up front rather than silently
+		// ignoring the flag on the serial cores.
 		if *shardGroup > 0 {
-			sharded := sim.DefaultCore == sim.CoreSharded || sim.DefaultCore == sim.CoreOptimistic ||
-				*shardProcs > 1 || *hugeTier
+			sharded := engineCore == sim.CoreSharded || *shardProcs > 1 || *hugeTier
 			if !sharded {
-				fmt.Fprintln(os.Stderr, "parsim: -shard-group needs a sharded engine: add -core sharded, -core optimistic, -shard-procs N (N > 1), or -huge")
+				fmt.Fprintln(os.Stderr, "parsim: -shard-group needs the sharded engine: add -core sharded, -shard-procs N (N > 1), or -huge")
 				return 2
 			}
 		}
@@ -219,6 +216,7 @@ func run() int {
 		opts.Parallelism = *procs
 		opts.ShardWorkers = *shardProcs
 		opts.ShardNodeGroup = *shardGroup
+		opts.Core = engineCore
 		opts.CheckpointPath = *checkpoint
 		opts.Resume = *resume
 		opts.RunDeadline = *runDeadline
@@ -294,21 +292,18 @@ flags for run/all (may precede or follow experiment names):
                procs/shard-procs, so the total never exceeds -procs.
                0 or 1 runs each simulation on the serial engine. Outputs
                are bit-identical at any setting.
-  -shard-group N  nodes per event shard under the sharded or optimistic
-               cores (0 = automatic coarsening, about nodes/(4*workers)).
+  -shard-group N  nodes per event shard under the sharded core
+               (0 = automatic coarsening, about nodes/(4*workers)).
                Coarser shards amortize per-shard overhead; finer shards
-               expose more parallelism. Requires a sharded engine (-core
-               sharded/optimistic, -shard-procs, or -huge); outputs are
-               bit-identical at any grouping.
-  -core NAME   engine core per simulation: heap, wheel (default), sharded,
-               or optimistic (Time Warp: shards speculate past the fabric
-               lookahead and roll back on cross-shard surprises; workers
-               default to -shard-procs or GOMAXPROCS). Outputs are
-               bit-identical across cores.
+               expose more parallelism. Requires the sharded engine (-core
+               sharded, -shard-procs, or -huge); outputs are bit-identical
+               at any grouping.
+  -core NAME   engine core per simulation: heap, wheel (default) or
+               sharded (workers default to -shard-procs or GOMAXPROCS).
+               Outputs are bit-identical across cores.
   -csv         CSV output
   -v           progress on stderr (includes per-run pdes window stats
-               when -shard-procs is active, and rollback/GVT/anti-message
-               stats under -core optimistic)
+               when -shard-procs is active)
   -checkpoint FILE   append per-run results to FILE (JSONL) as they finish
   -resume      with -checkpoint: replay completed runs from FILE and only
                simulate the missing ones (same sweep options required)

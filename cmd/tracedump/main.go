@@ -32,15 +32,15 @@ func main() {
 	buf := coschedsim.NewTraceBuffer(16 << 20)
 	buf.SkipTicks(true)
 	buf.FilterNode(0)
-	// SetTraceSink (rather than Nodes[0].SetSink directly) returns a marker
-	// that stays committed-only if the run is ever put on the optimistic core.
-	mk := c.SetTraceSink(0, buf)
+	// The buffer captures node 0's scheduler events and, as the benchmark's
+	// tracer, its Allreduce marks.
+	c.Nodes[0].SetSink(buf)
 
 	res, err := coschedsim.RunAggregate(c, coschedsim.AggregateSpec{
 		Loops: 1, CallsPerLoop: *calls,
 		Compute:    coschedsim.Time(grain.Nanoseconds()),
 		TraceEvery: 64,
-		Tracer:     mk,
+		Tracer:     buf,
 	}, coschedsim.Hour)
 	if err != nil || !res.Completed {
 		log.Fatalf("benchmark failed: %v", err)

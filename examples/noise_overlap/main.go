@@ -38,7 +38,7 @@ func main() {
 		c := coschedsim.MustBuild(cfg)
 		buf := coschedsim.NewTraceBuffer(4 << 20)
 		buf.SkipTicks(true)
-		c.SetTraceSink(0, buf)
+		c.Nodes[0].SetSink(buf)
 
 		spec := coschedsim.BSPSpec{
 			Steps:             400,

@@ -24,7 +24,6 @@ import (
 	"coschedsim/internal/network"
 	"coschedsim/internal/noise"
 	"coschedsim/internal/sim"
-	"coschedsim/internal/trace"
 )
 
 // Config fully describes a cluster scenario.
@@ -82,6 +81,13 @@ type Config struct {
 	// byte-identical across engine cores and worker counts). nil or a
 	// disabled config injects nothing.
 	Faults *fault.Config
+
+	// Core selects the engine core. The zero value, sim.CoreWheel, runs the
+	// timer wheel (or the sharded core when IntraRunWorkers > 1);
+	// sim.CoreHeap runs the reference heap; sim.CoreSharded requests the
+	// sharded core even at one intra-run worker. Every core produces
+	// bit-identical outputs, so Core changes wall clock only.
+	Core sim.Core
 
 	Seed int64
 }
@@ -148,20 +154,14 @@ type Cluster struct {
 	// Group is the shard coordinator when the cluster was built on the
 	// sharded core (nil on the serial engine). Eng is then shard 0, which
 	// also carries the cluster-scoped random streams.
-	Group *sim.ShardGroup
-	// OptGroup is the coordinator when the cluster was built on the
-	// optimistic (Time Warp) core, selected by sim.DefaultCore ==
-	// sim.CoreOptimistic. Every state-mutating substrate is registered as a
-	// rollback layer with its owning shard; outputs stay bit-identical to
-	// the serial engine. At most one of Group/OptGroup is non-nil.
-	OptGroup *sim.OptimisticGroup
-	Nodes    []*kernel.Node
-	Clocks   []network.Clock
-	Fabric   *network.Fabric
-	Noise    []*noise.Set
-	Sched    *cosched.Scheduler
-	IO       []*gpfs.Service
-	Job      *mpi.Job
+	Group  *sim.ShardGroup
+	Nodes  []*kernel.Node
+	Clocks []network.Clock
+	Fabric *network.Fabric
+	Noise  []*noise.Set
+	Sched  *cosched.Scheduler
+	IO     []*gpfs.Service
+	Job    *mpi.Job
 	// Faults is the armed injector (nil when fault injection is off).
 	Faults *fault.Injector
 	// Supervisors restart stalled daemons, one per node, only when stall
@@ -171,9 +171,6 @@ type Cluster struct {
 	// groupSize is the nodes-per-shard mapping factor (node i lives on
 	// shard i/groupSize); 1 when Group is nil.
 	groupSize int
-	// committed tracks the trace wrappers SetTraceSink installed on the
-	// optimistic core; Launch drains them after the run.
-	committed []*trace.Committed
 }
 
 // shardable reports whether the configuration can run on the sharded core
@@ -204,7 +201,7 @@ func autoShardGroup(nodes, workers int) int {
 // ShardOf returns the engine-shard index carrying node i (0 on the serial
 // engine).
 func (c *Cluster) ShardOf(i int) int {
-	if c.Group == nil && c.OptGroup == nil {
+	if c.Group == nil {
 		return 0
 	}
 	return i / c.groupSize
@@ -212,11 +209,8 @@ func (c *Cluster) ShardOf(i int) int {
 
 // shardEngine returns the engine node i schedules on.
 func (c *Cluster) shardEngine(i int) *sim.Engine {
-	switch {
-	case c.Group != nil:
+	if c.Group != nil {
 		return c.Group.Shard(i / c.groupSize)
-	case c.OptGroup != nil:
-		return c.OptGroup.Shard(i / c.groupSize)
 	}
 	return c.Eng
 }
@@ -228,25 +222,7 @@ func Build(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{Config: cfg, groupSize: 1}
-	if sim.DefaultCore == sim.CoreOptimistic && shardable(cfg) {
-		// Optimistic (Time Warp) core: same node-to-shard mapping as the
-		// conservative core, but shards speculate past the lookahead wall and
-		// roll back on cross-shard surprises. Every mutable substrate built
-		// below registers a checkpoint layer with its owning shard.
-		workers := cfg.IntraRunWorkers
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		group := cfg.ShardNodeGroup
-		if group < 1 {
-			group = autoShardGroup(cfg.Nodes, workers)
-		}
-		if shards := (cfg.Nodes + group - 1) / group; shards > 1 {
-			c.OptGroup = sim.NewOptimisticGroup(cfg.Seed, shards, workers, cfg.Network.Lookahead())
-			c.groupSize = group
-			c.Eng = c.OptGroup.Shard(0)
-		}
-	} else if (cfg.IntraRunWorkers > 1 || sim.DefaultCore == sim.CoreSharded) && shardable(cfg) {
+	if (cfg.IntraRunWorkers > 1 || cfg.Core == sim.CoreSharded) && shardable(cfg) {
 		workers := cfg.IntraRunWorkers
 		if workers < 1 {
 			workers = runtime.GOMAXPROCS(0)
@@ -264,14 +240,14 @@ func Build(cfg Config) (*Cluster, error) {
 	if c.Eng == nil {
 		// Serial engine: unshardable config, or grouping collapsed every
 		// node onto one shard.
-		c.Eng = sim.NewEngine(cfg.Seed)
+		c.Eng = sim.NewEngineWithCore(cfg.Seed, cfg.Core)
 	}
 	var err error
 	c.Fabric, err = network.NewFabric(c.Eng, cfg.Network)
 	if err != nil {
 		return nil, err
 	}
-	if c.Group != nil || c.OptGroup != nil {
+	if c.Group != nil {
 		engines := make([]*sim.Engine, cfg.Nodes)
 		for i := range engines {
 			engines[i] = c.shardEngine(i)
@@ -367,61 +343,7 @@ func Build(cfg Config) (*Cluster, error) {
 		c.Job.SetFaults(c.Faults)
 		c.armFaults()
 	}
-	if c.OptGroup != nil {
-		c.registerOptimisticLayers()
-	}
 	return c, nil
-}
-
-// registerOptimisticLayers attaches every state-mutating substrate built so
-// far to its owning shard's rollback net: the kernel node, the noise set,
-// the GPFS service and the co-scheduler's per-node state go to the shard
-// carrying the node; the fabric contributes one layer per shard covering the
-// per-node stat rows it owns; supervisors follow their node. The MPI rank
-// layer is registered by Launch — rank pointers are stable only then. The
-// fault injector needs no layer: its schedules are immutable after arming.
-func (c *Cluster) registerOptimisticLayers() {
-	shardNodes := make([][]int, c.OptGroup.Shards())
-	for i, n := range c.Nodes {
-		eng := n.Engine()
-		eng.AddShardState(n.ShardState())
-		eng.AddShardState(c.Noise[i].ShardState())
-		if len(c.IO) > 0 {
-			eng.AddShardState(c.IO[i].ShardState())
-		}
-		if c.Sched != nil {
-			eng.AddShardState(c.Sched.StateForNode(n))
-		}
-		s := c.ShardOf(i)
-		shardNodes[s] = append(shardNodes[s], i)
-	}
-	for s, nodes := range shardNodes {
-		if len(nodes) > 0 {
-			c.OptGroup.Shard(s).AddShardState(c.Fabric.ShardStateFor(nodes))
-		}
-	}
-	for i, sup := range c.Supervisors {
-		c.Nodes[i].Engine().AddShardState(sup.ShardState())
-	}
-}
-
-// SetTraceSink installs buf as node i's scheduler-event sink, wrapped for
-// committed-only emission when the cluster runs on the optimistic core (so
-// records from rolled-back speculation never reach the ring and trace output
-// stays bit-identical to the serial engine). It returns the Marker that
-// application-level trace marks for this node must go through — the buffer
-// itself on the serial and conservative cores. Call between Build and
-// Launch.
-func (c *Cluster) SetTraceSink(i int, buf *trace.Buffer) trace.Marker {
-	if c.OptGroup == nil {
-		c.Nodes[i].SetSink(buf)
-		return buf
-	}
-	w := trace.NewCommitted(buf)
-	c.Nodes[i].SetSink(w)
-	c.Nodes[i].Engine().AddShardState(w)
-	c.committed = append(c.committed, w)
-	return w
 }
 
 // armFaults schedules every precomputed fault on its node's engine. This
@@ -561,23 +483,17 @@ func (c *Cluster) SetWallDeadline(d time.Duration) {
 		return
 	}
 	t := time.Now().Add(d)
-	switch {
-	case c.Group != nil:
+	if c.Group != nil {
 		c.Group.SetWallDeadline(t)
-	case c.OptGroup != nil:
-		c.OptGroup.SetWallDeadline(t)
-	default:
+	} else {
 		c.Eng.SetWallDeadline(t)
 	}
 }
 
 // DeadlineHit reports whether the run was cut short by SetWallDeadline.
 func (c *Cluster) DeadlineHit() bool {
-	switch {
-	case c.Group != nil:
+	if c.Group != nil {
 		return c.Group.WallDeadlineHit()
-	case c.OptGroup != nil:
-		return c.OptGroup.WallDeadlineHit()
 	}
 	return c.Eng.WallDeadlineHit()
 }
@@ -614,19 +530,9 @@ func (c *Cluster) Launch(program func(*mpi.Rank), horizon sim.Time) (sim.Time, b
 	// job's own max-over-ranks record rather than a shared clock read.
 	c.Job.OnComplete(func() { c.Eng.Stop() })
 	c.Job.Launch(program)
-	if c.OptGroup != nil {
-		// Rank pointers are stable only after Launch; register the per-node
-		// rank checkpoint layers now, before the first window executes.
-		for _, n := range c.Nodes {
-			n.Engine().AddShardState(c.Job.StateForNode(n))
-		}
-	}
-	switch {
-	case c.Group != nil:
+	if c.Group != nil {
 		c.Group.Run(horizon)
-	case c.OptGroup != nil:
-		c.OptGroup.Run(horizon)
-	default:
+	} else {
 		c.Eng.Run(horizon)
 	}
 	for _, ns := range c.Noise {
@@ -634,11 +540,6 @@ func (c *Cluster) Launch(program func(*mpi.Rank), horizon sim.Time) (sim.Time, b
 	}
 	for _, sup := range c.Supervisors {
 		sup.Stop()
-	}
-	// Nothing can roll back after the run; drain any still-staged trace
-	// records into their rings.
-	for _, w := range c.committed {
-		w.Flush()
 	}
 	return c.Job.CompletedAt(), c.Job.Completed()
 }

@@ -57,6 +57,27 @@ func TestBuildWiring(t *testing.T) {
 	}
 }
 
+// TestConfigCoreSelectsEngine pins core selection through Config.Core: the
+// zero value and the heap stay serial at one intra-run worker, and the
+// sharded core shards a shardable config by itself.
+func TestConfigCoreSelectsEngine(t *testing.T) {
+	for _, tc := range []struct {
+		core    sim.Core
+		sharded bool
+	}{
+		{sim.CoreWheel, false},
+		{sim.CoreHeap, false},
+		{sim.CoreSharded, true},
+	} {
+		cfg := Vanilla(4, 16, 7)
+		cfg.Core = tc.core
+		c := MustBuild(cfg)
+		if got := c.Group != nil; got != tc.sharded {
+			t.Errorf("core %v: sharded=%v, want %v", tc.core, got, tc.sharded)
+		}
+	}
+}
+
 func TestVanillaUsesLocalClocks(t *testing.T) {
 	c := MustBuild(Vanilla(4, 16, 7))
 	sawOffset := false

@@ -16,7 +16,7 @@ import (
 func faultTrace(t *testing.T, cfg Config, calls int) ([]sim.Time, bool, sim.Time, uint64, FaultReport) {
 	t.Helper()
 	c := MustBuild(cfg)
-	p := newRank0Probe(c)
+	p := &rank0Probe{}
 	done, ok := c.Launch(p.program(calls), 10*sim.Minute)
 	return p.times, ok, done, c.Job.P2PSends(), c.FaultReport()
 }
@@ -188,10 +188,8 @@ func TestFaultyScenarioBitIdenticalAcrossCores(t *testing.T) {
 		rep   FaultReport
 	}
 	run := func(core sim.Core, workers int) fp {
-		prev := sim.DefaultCore
-		sim.DefaultCore = core
-		defer func() { sim.DefaultCore = prev }()
 		cfg := mk()
+		cfg.Core = core
 		cfg.IntraRunWorkers = workers
 		times, ok, done, sends, rep := faultTrace(t, cfg, 400)
 		return fp{times, ok, done, sends, rep}
@@ -206,13 +204,6 @@ func TestFaultyScenarioBitIdenticalAcrossCores(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		if got := run(sim.CoreWheel, w); !reflect.DeepEqual(ref, got) {
 			t.Errorf("sharded core @ %d workers diverges from serial wheel:\nserial:  %+v\nsharded: %+v", w, ref, got)
-		}
-	}
-	// The optimistic core must hold the same pin: rollbacks of speculated
-	// faults (crashes, aborts, retransmits) may not leak into any count.
-	for _, w := range []int{1, 2, 4} {
-		if got := run(sim.CoreOptimistic, w); !reflect.DeepEqual(ref, got) {
-			t.Errorf("optimistic core @ %d workers diverges from serial wheel:\nserial:     %+v\noptimistic: %+v", w, ref, got)
 		}
 	}
 }

@@ -7,13 +7,43 @@ import (
 	"coschedsim/internal/sim"
 )
 
+// rank0Probe records rank 0's per-call Allreduce times, so the same
+// fingerprint helpers serve every engine core.
+type rank0Probe struct {
+	t0    sim.Time
+	times []sim.Time
+}
+
+// program returns the fixed Allreduce-loop fingerprint program.
+func (p *rank0Probe) program(calls int) func(*mpi.Rank) {
+	return func(r *mpi.Rank) {
+		var loop func(i int)
+		loop = func(i int) {
+			if i == calls {
+				r.Done()
+				return
+			}
+			if r.ID() == 0 {
+				p.t0 = r.Now()
+			}
+			r.Allreduce(float64(r.ID()), func(float64) {
+				if r.ID() == 0 {
+					p.times = append(p.times, r.Now()-p.t0)
+				}
+				loop(i + 1)
+			})
+		}
+		loop(0)
+	}
+}
+
 // allreduceTrace runs a fixed Allreduce loop on cfg and returns rank 0's
 // per-call times, the completion time, and the job's total point-to-point
 // send count — a fingerprint sensitive to any ordering or RNG divergence.
 func allreduceTrace(t *testing.T, cfg Config, calls int) ([]sim.Time, sim.Time, uint64, *Cluster) {
 	t.Helper()
 	c := MustBuild(cfg)
-	p := newRank0Probe(c)
+	p := &rank0Probe{}
 	done, ok := c.Launch(p.program(calls), 10*sim.Minute)
 	if !ok {
 		t.Fatal("allreduce loop did not complete")

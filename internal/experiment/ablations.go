@@ -282,6 +282,7 @@ func AblationFineGrainHints(o Options) (*Table, error) {
 			params.MaxFineGrainExtension = 0
 		}
 		cfg.Cosched = &params
+		cfg.Core = op.Core
 		c, err := cluster.Build(cfg)
 		if err != nil {
 			return hintOut{}, err

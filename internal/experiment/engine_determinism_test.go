@@ -13,15 +13,13 @@ import (
 // its full rendered text plus CSV bytes.
 func renderedWithCore(t *testing.T, name string, core sim.Core) []byte {
 	t.Helper()
-	prev := sim.DefaultCore
-	sim.DefaultCore = core
-	defer func() { sim.DefaultCore = prev }()
 	r, ok := Lookup(name)
 	if !ok {
 		t.Fatalf("unknown experiment %s", name)
 	}
 	o := detOptions()
 	o.Parallelism = 2
+	o.Core = core
 	tab, err := r.Run(o)
 	if err != nil {
 		t.Fatalf("%s with core %v: %v", name, core, err)
@@ -55,11 +53,6 @@ func TestEngineSwapBitIdentical(t *testing.T) {
 		if !bytes.Equal(wheel, sharded) {
 			t.Errorf("%s: output differs between wheel and sharded cores\n--- wheel ---\n%s\n--- sharded ---\n%s",
 				name, wheel, sharded)
-		}
-		optimistic := renderedWithCore(t, name, sim.CoreOptimistic)
-		if !bytes.Equal(wheel, optimistic) {
-			t.Errorf("%s: output differs between wheel and optimistic cores\n--- wheel ---\n%s\n--- optimistic ---\n%s",
-				name, wheel, optimistic)
 		}
 	}
 }

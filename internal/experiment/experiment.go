@@ -56,11 +56,14 @@ type Options struct {
 	// keep runs on the serial engine.
 	ShardWorkers int
 	// ShardNodeGroup, when > 0, maps this many nodes onto each event shard
-	// under the sharded and optimistic cores (cluster.Config.ShardNodeGroup),
-	// overriding the automatic nodes/(4*workers) coarsening heuristic. 0
-	// keeps the heuristic. Outputs are bit-identical at any grouping; only
-	// per-shard work granularity and snapshot/rollback scope change.
+	// under the sharded core (cluster.Config.ShardNodeGroup), overriding the
+	// automatic nodes/(4*workers) coarsening heuristic. 0 keeps the
+	// heuristic. Outputs are bit-identical at any grouping; only per-shard
+	// work granularity changes.
 	ShardNodeGroup int
+	// Core selects every run's engine core (cluster.Config.Core). The zero
+	// value is the timer wheel. Outputs are bit-identical on every core.
+	Core sim.Core
 	// Progress, when non-nil, receives one line per completed run. Under
 	// parallelism > 1 the callback is invoked from worker goroutines but
 	// never concurrently (calls are serialized); line order across runs

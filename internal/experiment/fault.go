@@ -129,6 +129,7 @@ func AblationFault(o Options) (*Table, error) {
 	shard := o.shardWorkers()
 	outs, err := parallel.Map(o.workers(), len(jobs), func(i int) (faultOut, error) {
 		j := jobs[i]
+		j.Cfg.Core = o.Core
 		if shard > 1 {
 			j.Cfg.IntraRunWorkers = shard
 		}

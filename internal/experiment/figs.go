@@ -46,13 +46,14 @@ func Fig1NoiseOverlap(o Options) (*Table, error) {
 		cfg.CPUsPerNode = 8
 		cfg.TasksPerNode = 8
 		cfg.Kernel.NumCPUs = 8
+		cfg.Core = op.Core
 		c, err := cluster.Build(cfg)
 		if err != nil {
 			return fig1Out{}, err
 		}
 		buf := trace.NewBuffer(4 << 20)
 		buf.SkipTicks(true)
-		c.SetTraceSink(0, buf)
+		c.Nodes[0].SetSink(buf)
 		spec := workload.BSPSpec{
 			Steps:             600,
 			ComputeMean:       20 * sim.Millisecond,
@@ -237,6 +238,7 @@ func Fig4OutlierProfile(o Options) (*Table, error) {
 		cronPeriod = 15 * sim.Minute
 	}
 	cfg.Noise.Cron.Period = cronPeriod
+	cfg.Core = o.Core
 	c, err := cluster.Build(cfg)
 	if err != nil {
 		return nil, err
@@ -244,7 +246,7 @@ func Fig4OutlierProfile(o Options) (*Table, error) {
 	buf := trace.NewBuffer(8 << 20)
 	buf.SkipTicks(true)
 	buf.FilterNode(0)
-	c.SetTraceSink(0, buf)
+	c.Nodes[0].SetSink(buf)
 
 	res, err := workload.RunAggregate(c, workload.AggregateSpec{Loops: 1, CallsPerLoop: calls, Compute: o.ComputeGrain}, 30*sim.Minute)
 	if err != nil {

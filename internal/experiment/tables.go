@@ -126,6 +126,7 @@ func T3ALE3D(o Options) (*Table, error) {
 	shard := o.shardWorkers()
 	outs, err := parallel.Map(op.workers(), len(scens), func(i int) (workload.ALE3DResult, error) {
 		sc := scens[i]
+		sc.cfg.Core = op.Core
 		if shard > 1 {
 			sc.cfg.IntraRunWorkers = shard
 		}
@@ -187,7 +188,9 @@ func T4Noise(o Options) (*Table, error) {
 	}
 	op := o.withSafeProgress()
 	fractions, err := parallel.Map(op.workers(), len(noiseCfgs), func(i int) (float64, error) {
-		c, err := cluster.Build(noiseCfgs[i].cfg)
+		cfg := noiseCfgs[i].cfg
+		cfg.Core = op.Core
+		c, err := cluster.Build(cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -263,6 +266,7 @@ func T5AllreduceFraction(o Options) (*Table, error) {
 	outs, err := parallel.Map(op.workers(), len(sweep), func(i int) (bspOut, error) {
 		nodes := sweep[i]
 		cfg := cluster.Vanilla(nodes, 16, op.BaseSeed+int64(nodes))
+		cfg.Core = op.Core
 		if shard > 1 {
 			cfg.IntraRunWorkers = shard
 		}

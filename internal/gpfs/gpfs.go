@@ -101,10 +101,6 @@ type Service struct {
 	stat     Stats
 	stalled  uint64
 	stopFlag bool
-
-	// shardSt is the optimistic core's checkpoint view; nil under serial
-	// and conservative cores. See state.go.
-	shardSt *serviceState
 }
 
 // NewService attaches a GPFS client to the node. The mmfsd workers start
@@ -163,7 +159,6 @@ func (s *Service) Write(th *kernel.Thread, bytes int, then func()) {
 	if bytes < 0 {
 		panic("gpfs: negative write")
 	}
-	s.touch()
 	copyCost := sim.Time(float64(bytes) / s.cfg.CopyBytesPerSecond * float64(sim.Second))
 	if s.buffered+float64(bytes) <= float64(s.cfg.BufferBytes) {
 		s.buffered += float64(bytes)
@@ -189,7 +184,6 @@ func (s *Service) Read(th *kernel.Thread, bytes int, then func()) {
 		th.Run(0, then)
 		return
 	}
-	s.touch()
 	s.stat.BytesRead += uint64(bytes)
 	s.readers = append(s.readers, reader{remaining: float64(bytes), wake: th.Wakeup})
 	s.kick()
@@ -227,7 +221,6 @@ func (s *Service) pendingBytes() float64 {
 // otherwise. Service time is proportional to the backlog, capped at the
 // chunk quantum, so a worker never burns CPU it has no data for.
 func (s *Service) workerLoop(i int) {
-	s.touch() // park/claim bookkeeping below mutates the service
 	w := s.workers[i]
 	if s.stopFlag {
 		w.Exit()
@@ -262,7 +255,6 @@ func (s *Service) workerLoop(i int) {
 		cost = sim.Microsecond
 	}
 	w.Run(cost, func() {
-		s.touch() // the drain runs in a later event than the claim
 		s.claimed -= claim
 		s.drain(claim)
 		s.kick() // admissions may have produced work for parked workers
@@ -314,7 +306,6 @@ func (s *Service) drain(budget float64) {
 
 // Stop terminates the workers after their current chunks (teardown).
 func (s *Service) Stop() {
-	s.touch()
 	s.stopFlag = true
 	for i, parked := range s.idle {
 		if parked {

@@ -215,24 +215,18 @@ type Job struct {
 	collAborted  atomic.Int64
 }
 
-// delivery is one in-flight point-to-point message. Its fire and release
-// continuations are bound once when the record is first allocated. The record
-// returns to the receiving rank's pool when the delivery commits: under the
-// optimistic core a rolled-back fire must leave the record's fields intact so
-// the revived event can re-read them (an eagerly pooled record could be
-// re-leased and clobbered mid-speculation), so the pool return rides
-// DeferToCommit. On serial and conservative cores DeferToCommit runs
-// immediately, preserving the old release-before-deliver behavior. Pools are
-// per rank so that under the sharded cores each pool is only ever touched by
-// its owner's shard: leases happen on the sender (who owns the record until
-// it fires) and releases happen on the receiver — so records migrate from
-// sender pools to receiver pools, which is harmless.
+// delivery is one in-flight point-to-point message. Its fire continuation is
+// bound once when the record is first allocated; firing returns the record to
+// the receiving rank's pool before delivering. Pools are per rank so that
+// under the sharded core each pool is only ever touched by its owner's shard:
+// leases happen on the sender (who owns the record until it fires) and
+// releases happen on the receiver — so records migrate from sender pools to
+// receiver pools, which is harmless.
 type delivery struct {
-	target  *Rank
-	key     msgKey
-	msg     message
-	fire    func()
-	release func()
+	target *Rank
+	key    msgKey
+	msg    message
+	fire   func()
 }
 
 // newDelivery leases a delivery record from r's pool for a message to target.
@@ -243,15 +237,10 @@ func (r *Rank) newDelivery(target *Rank, key msgKey, msg message) *delivery {
 		r.deliveryPool = r.deliveryPool[:n-1]
 	} else {
 		d = &delivery{}
-		d.release = func() {
-			t := d.target
-			d.target = nil
-			t.touch() // commit-time pool return still dirties the receiver
-			t.deliveryPool = append(t.deliveryPool, d)
-		}
 		d.fire = func() {
 			target, key, msg := d.target, d.key, d.msg
-			target.node.Engine().DeferToCommit(d.release)
+			d.target = nil
+			target.deliveryPool = append(target.deliveryPool, d)
 			target.deliver(key, msg)
 		}
 	}
@@ -395,11 +384,12 @@ func (j *Job) startProgressThread(r *Rank) {
 }
 
 // rankDone accounts a completed rank and fires the completion callback. The
-// local teardown (registry, timer thread) runs inline on the rank's shard and
-// is covered by the shard's rollback layers; the job-wide counters are
-// cross-shard atomics, so they update only when the terminating event commits
-// (immediately on serial and conservative cores, where every executed event
-// is already final) — a rolled-back completion never leaks into them.
+// local teardown (registry, timer thread) runs on the rank's shard; the
+// rank's termination time folds into lastDone (a maximum, so
+// order-independent across shards), and the completion callbacks fire when
+// the final rank lands. They fire exactly once, on whichever shard executes
+// the final Done, after every earlier rank's completion time is visible (the
+// atomic add totally orders the increments).
 func (j *Job) rankDone(r *Rank) {
 	if j.registry != nil {
 		j.registry.UnregisterProcess(r.node, r.thread.Proc)
@@ -409,20 +399,7 @@ func (j *Job) rankDone(r *Rank) {
 		// to a polling interval for it to notice.
 		r.progress.Kill()
 	}
-	eng := r.node.Engine()
-	r.touch() // rankDone's callers (Done, fail) already dirtied r; keep it safe standalone
-	r.doneAt = eng.Now()
-	eng.DeferToCommit(r.commitDone)
-}
-
-// commitRankDone is the commit-time half of rankDone: fold the rank's
-// termination time into lastDone (a maximum, so order-independent across
-// shards) and fire the completion callbacks when the final rank lands. The
-// callback fires exactly once, on whichever shard commits the final Done,
-// after every earlier rank's completion time is visible (the atomic add
-// totally orders the increments).
-func (j *Job) commitRankDone(r *Rank) {
-	now := int64(r.doneAt)
+	now := int64(r.node.Engine().Now())
 	for {
 		cur := j.lastDone.Load()
 		if now <= cur || j.lastDone.CompareAndSwap(cur, now) {
@@ -433,20 +410,6 @@ func (j *Job) commitRankDone(r *Rank) {
 		for _, fn := range j.onComplete {
 			fn()
 		}
-	}
-}
-
-// commitRankFail is the commit-time half of Rank.fail: the degraded-mode
-// counters, staged on the rank when it died.
-func (j *Job) commitRankFail(r *Rank) {
-	j.failed.Add(1)
-	if r.failLost {
-		j.lostRanks.Add(1)
-	} else {
-		j.abortedRanks.Add(1)
-	}
-	if r.failMidColl {
-		j.collAborted.Add(1)
 	}
 }
 

@@ -33,12 +33,10 @@ func (r *Rank) sendVec(dst, tag int, vec []float64, then func()) {
 	copy(payload, vec)
 	bytes := len(vec) * r.job.cfg.ElemBytes
 	r.thread.Run(r.job.cfg.SendOverhead, func() {
-		r.touch()
 		r.p2pSends++
 		target := &r.job.ranks[dst]
 		key := msgKey{src: r.id, tag: tag}
 		deliver := func() {
-			target.touch() // runs on target's shard: side-table append dirties it
 			target.vecPending = append(target.vecPending, vecArrival{key: key, vec: payload})
 			target.deliver(key, message{bytes: bytes})
 		}
@@ -54,7 +52,6 @@ func (r *Rank) sendVec(dst, tag int, vec []float64, then func()) {
 func (r *Rank) recvVec(src, tag int, then func(vec []float64)) {
 	key := msgKey{src: src, tag: tag}
 	r.Recv(src, tag, func(float64) {
-		r.touch() // the side-table shift below mutates r in a later event
 		for i := range r.vecPending {
 			if r.vecPending[i].key == key {
 				vec := r.vecPending[i].vec
@@ -101,10 +98,8 @@ func (r *Rank) AllreduceVec(vec []float64, then func(sums []float64)) {
 
 // rdAllreduceVec is recursive doubling over whole vectors, with the usual
 // non-power-of-two fold. Each combine builds a fresh accumulator instead of
-// adding in place: under the optimistic core a rolled-back round re-executes,
-// and an in-place += on a closure-shared vector would double-count. With the
-// working vector riding the recursion as a parameter, every continuation is
-// a pure function of its inputs and re-execution is harmless.
+// adding in place, and the working vector rides the recursion as a
+// parameter, so every continuation is a pure function of its inputs.
 func (r *Rank) rdAllreduceVec(acc []float64, then func([]float64)) {
 	n := r.Size()
 	base := r.nextTagBase()
@@ -177,9 +172,8 @@ func (r *Rank) rabenseifnerAllreduceVec(acc []float64, then func([]float64)) {
 	var scatter func(k, lo, hi int, cur []float64)
 
 	// The owned span [lo, hi) and the working vector ride the recursion as
-	// parameters, and each combine builds a fresh vector — see rdAllreduceVec
-	// on why closure-mutable spans and in-place accumulation cannot survive
-	// optimistic re-execution.
+	// parameters, and each combine builds a fresh vector, as in
+	// rdAllreduceVec.
 	scatter = func(k, lo, hi int, cur []float64) {
 		bit := n >> (k + 1) // partner distance halves each round
 		if bit == 0 {

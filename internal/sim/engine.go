@@ -26,13 +26,7 @@ type Event struct {
 	pending  bool // scheduled and not yet fired or canceled
 	canceled bool
 	when     Time
-	// eseq is the sequence number of the event's current queue entry. The
-	// optimistic core's rollback needs it to revive a fired, canceled or
-	// rescheduled event at its original (when, seq) queue position, so that
-	// re-executed history breaks same-time ties exactly as the first
-	// execution did.
-	eseq  uint64
-	label string // optional, for debugging
+	label    string // optional, for debugging
 }
 
 // When reports the time the event is scheduled to fire.
@@ -150,22 +144,10 @@ const (
 	// CoreSharded requests the conservative time-window parallel core: one
 	// wheel-backed shard per cluster node, coordinated by a ShardGroup (see
 	// sharded.go). The selection is honored by cluster.Build, which knows
-	// the shard topology; a bare NewEngine call cannot shard a single queue
-	// and falls back to the timer wheel.
+	// the shard topology; a bare NewEngineWithCore call cannot shard a
+	// single queue and falls back to the timer wheel.
 	CoreSharded
-	// CoreOptimistic requests the optimistic (Time Warp) parallel core: one
-	// wheel-backed shard per cluster node coordinated by an OptimisticGroup
-	// (see optimistic.go), which speculates past the conservative lookahead
-	// wall and rolls back mis-speculation with saved state and anti-messages.
-	// Like CoreSharded the selection is honored by cluster.Build; a bare
-	// NewEngine call falls back to the timer wheel.
-	CoreOptimistic
 )
-
-// DefaultCore is the queue implementation NewEngine uses. Tests flip it to
-// CoreHeap to run whole simulations against the reference queue; both cores
-// produce bit-identical simulations.
-var DefaultCore = CoreWheel
 
 // eventPoolCap bounds the free list of recycled Event records. Beyond this
 // the records are left to the garbage collector; the cap only exists to
@@ -200,13 +182,6 @@ type Engine struct {
 	windowEnd Time           // exclusive bound of the window being executed; 0 when idle
 	outbox    [][]crossEntry // staged cross-shard events, indexed by destination shard
 
-	// Optimistic-shard state (nil outside an OptimisticGroup). While opt.rec
-	// is set the engine is speculating: every state change records an undo
-	// operation in the current segment, fired and canceled Event records are
-	// parked on the segment instead of recycled, and cross-shard ScheduleOn
-	// stages anti-message-cancelable sends on the segment.
-	opt *oShard
-
 	// Wall-clock deadline (0 = none): Run breaks out once real time passes
 	// it, leaving the simulation mid-run with deadlineHit set. Checked every
 	// 4096 events so the hot loop stays syscall-free.
@@ -214,9 +189,10 @@ type Engine struct {
 	deadlineHit bool
 }
 
-// NewEngine returns an engine at time zero whose random streams derive from
-// seed. The same seed always yields the same simulation, under either Core.
-func NewEngine(seed int64) *Engine { return NewEngineWithCore(seed, DefaultCore) }
+// NewEngine returns a timer-wheel engine at time zero whose random streams
+// derive from seed. The same seed always yields the same simulation, under
+// any Core.
+func NewEngine(seed int64) *Engine { return NewEngineWithCore(seed, CoreWheel) }
 
 // NewEngineWithCore is NewEngine with an explicit queue implementation.
 func NewEngineWithCore(seed int64, core Core) *Engine {
@@ -287,23 +263,7 @@ func (e *Engine) recycle(ev *Event) {
 // number.
 func (e *Engine) enqueue(ev *Event, t Time) {
 	en := entry{when: t, seq: e.seq, ev: ev, gen: ev.gen}
-	ev.eseq = e.seq
 	e.seq++
-	if e.useHeap {
-		e.heap.push(en)
-	} else {
-		e.wheel.insert(en)
-	}
-}
-
-// enqueueRaw reinserts ev at an explicit (when, seq) queue position without
-// drawing a fresh sequence number. Only rollback uses it: reviving an
-// unwound event at its original position keeps same-time tie-breaks of the
-// re-executed history identical to the first execution. The entry carries
-// the event's current generation.
-func (e *Engine) enqueueRaw(ev *Event, t Time, seq uint64) {
-	ev.eseq = seq
-	en := entry{when: t, seq: seq, ev: ev, gen: ev.gen}
 	if e.useHeap {
 		e.heap.push(en)
 	} else {
@@ -326,9 +286,6 @@ func (e *Engine) At(t Time, label string, fn func()) *Event {
 	e.enqueue(ev, t)
 	e.scheduled++
 	e.live++
-	if o := e.opt; o != nil && o.rec {
-		o.record(undoSchedule, ev, 0, 0)
-	}
 	return ev
 }
 
@@ -359,9 +316,6 @@ func (e *Engine) Recur(first Time, label string, fn func() Time) *Event {
 	e.enqueue(ev, first)
 	e.scheduled++
 	e.live++
-	if o := e.opt; o != nil && o.rec {
-		o.record(undoSchedule, ev, 0, 0)
-	}
 	return ev
 }
 
@@ -372,18 +326,6 @@ func (e *Engine) Recur(first Time, label string, fn func() Time) *Event {
 // a later schedule.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || !ev.pending {
-		return
-	}
-	if o := e.opt; o != nil && o.rec {
-		// Speculative cancel: the record may have to be revived on rollback,
-		// so keep its callbacks and park it on the segment; it is recycled
-		// when the segment commits.
-		o.record(undoCancel, ev, ev.when, ev.eseq)
-		ev.pending = false
-		ev.canceled = true
-		ev.gen++
-		e.live--
-		o.cur.freed = append(o.cur.freed, ev)
 		return
 	}
 	ev.pending = false
@@ -403,9 +345,6 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: rescheduling %q at %v before now %v", ev.label, t, e.now))
-	}
-	if o := e.opt; o != nil && o.rec {
-		o.record(undoResched, ev, ev.when, ev.eseq)
 	}
 	ev.gen++ // the old entry goes stale in place
 	ev.when = t
@@ -457,9 +396,6 @@ func (e *Engine) Step() bool {
 	e.fired++
 	e.live--
 	ev.pending = false
-	if o := e.opt; o != nil && o.rec {
-		return e.stepSpec(o, en, ev)
-	}
 	if ev.recur != nil {
 		next := ev.recur()
 		if next == RecurStop {
@@ -489,40 +425,6 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// stepSpec is Step's firing tail under speculative execution: instead of
-// recycling, fired records are parked on the current segment so rollback can
-// revive them at their original queue position, and every fire is recorded
-// as an undo operation. The caller has already advanced the clock and
-// accounting.
-func (e *Engine) stepSpec(o *oShard, en entry, ev *Event) bool {
-	if ev.recur != nil {
-		// The undo op is recorded after the callback (its kind depends on
-		// the return value), so the reverse walk un-arms the event before
-		// unwinding the callback's own operations; both orders are sound
-		// because undo ops touch disjoint events and pure counter deltas.
-		next := ev.recur()
-		if next == RecurStop {
-			o.record(undoRecurStop, ev, en.when, en.seq)
-			o.cur.freed = append(o.cur.freed, ev)
-			return true
-		}
-		if next <= e.now {
-			panic(fmt.Sprintf("sim: recurring %q returned %v, not after now %v", ev.label, next, e.now))
-		}
-		o.record(undoRecurRearm, ev, en.when, en.seq)
-		ev.pending = true
-		ev.when = next
-		e.enqueue(ev, next)
-		e.scheduled++
-		e.live++
-		return true
-	}
-	o.record(undoFire, ev, en.when, en.seq)
-	o.cur.freed = append(o.cur.freed, ev)
-	ev.fn()
-	return true
-}
-
 // Run executes events until the queue is empty, the engine is stopped, or
 // the next event lies strictly after until. The clock is left at the last
 // fired event's time (it does not jump to until). It returns the number of
@@ -530,9 +432,6 @@ func (e *Engine) stepSpec(o *oShard, en entry, ev *Event) bool {
 func (e *Engine) Run(until Time) uint64 {
 	if e.group != nil {
 		panic("sim: Run on a shard of a ShardGroup; drive the group with ShardGroup.Run")
-	}
-	if e.opt != nil {
-		panic("sim: Run on a shard of an OptimisticGroup; drive the group with OptimisticGroup.Run")
 	}
 	start := e.fired
 	for !e.stopped {
@@ -580,19 +479,6 @@ func (e *Engine) Stop() {
 		e.group.Stop()
 		return
 	}
-	if o := e.opt; o != nil {
-		// A stop decided by a speculative event only takes effect if that
-		// event commits; a rolled-back stop is dropped with its segment and
-		// the re-executed history decides again. This keeps the stop point —
-		// and therefore the final committed state — independent of worker
-		// count and speculation depth.
-		if o.rec {
-			o.cur.deferred = append(o.cur.deferred, o.g.stopFn)
-		} else {
-			o.g.Stop()
-		}
-		return
-	}
 	e.stopped = true
 }
 
@@ -600,9 +486,6 @@ func (e *Engine) Stop() {
 func (e *Engine) Stopped() bool {
 	if e.group != nil {
 		return e.group.Stopped()
-	}
-	if e.opt != nil {
-		return e.opt.g.Stopped()
 	}
 	return e.stopped
 }
@@ -640,27 +523,6 @@ func (e *Engine) runWindow(end Time) int {
 // the current window's end (the conservative lookahead guarantee), which
 // holds for anything scheduled at least the group lookahead in the future.
 func (e *Engine) ScheduleOn(dst *Engine, t Time, label string, fn func()) {
-	if o := e.opt; o != nil && dst != e {
-		if dst.opt == nil || dst.opt.g != o.g {
-			panic("sim: ScheduleOn across different OptimisticGroups")
-		}
-		if !o.rec && !o.lite {
-			// Between speculation rounds (setup, teardown, or the serial
-			// barrier phase): the destination queue is quiescent.
-			dst.At(t, label, fn)
-			return
-		}
-		if t < e.now+o.g.lookahead {
-			panic(fmt.Sprintf("sim: cross-shard %q at %v within lookahead of now %v: below the group lookahead",
-				label, t, e.now))
-		}
-		// Staged on the current segment: released to the destination only
-		// when the segment commits, discarded (the anti-message) when it
-		// rolls back. Lite (window-1) segments always commit at the round's
-		// barrier, so for them this is just the conservative outbox.
-		o.cur.sends = append(o.cur.sends, ocross{dst: dst.opt.idx, when: t, label: label, fn: fn})
-		return
-	}
 	if dst == e || e.group == nil || dst.group == nil {
 		dst.At(t, label, fn)
 		return
@@ -679,43 +541,4 @@ func (e *Engine) ScheduleOn(dst *Engine, t Time, label string, fn func()) {
 			label, t, e.windowEnd))
 	}
 	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, label: label, fn: fn})
-}
-
-// DeferToCommit runs fn when the current speculation segment commits. On a
-// serial engine or a conservative shard — where every executed event is
-// already final — fn runs immediately, so callers get identical behavior and
-// ordering on every core. Under optimistic execution fn is parked on the
-// current segment: it runs (in execution order, during the serial barrier
-// phase) when the segment commits, and is dropped if the segment rolls back.
-//
-// Use it for side effects that escape the rollback net: externally visible
-// counters, pool releases, completion notifications. Pass a pre-bound
-// closure to keep the speculative path allocation-free.
-func (e *Engine) DeferToCommit(fn func()) {
-	if o := e.opt; o != nil && o.rec {
-		o.cur.deferred = append(o.cur.deferred, fn)
-		return
-	}
-	fn()
-}
-
-// AddShardState registers a checkpointable state layer with this engine's
-// optimistic shard. On every other core the call is a no-op — layers only
-// pay checkpoint costs when speculation can actually roll them back. See
-// ShardState in optimistic.go for the contract.
-func (e *Engine) AddShardState(s ShardState) {
-	if e.opt != nil {
-		e.opt.addState(s)
-	}
-}
-
-// Optimistic reports whether this engine is a shard of an OptimisticGroup.
-func (e *Engine) Optimistic() bool { return e.opt != nil }
-
-// OptGroup returns the coordinating OptimisticGroup, or nil.
-func (e *Engine) OptGroup() *OptimisticGroup {
-	if e.opt == nil {
-		return nil
-	}
-	return e.opt.g
 }

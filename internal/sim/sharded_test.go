@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -39,14 +40,13 @@ type fireRec struct {
 	id    int
 }
 
-// diffShardState is one logical shard's bookkeeping, including its own fire
-// log. It is only ever touched from that shard's events, so its evolution
-// is identical whether the shards share one engine or run on a group — and
-// per-shard logs need no locking under parallel execution and truncate
-// per-shard under optimistic rollback.
-type diffShardState struct {
+// diffShard is one logical shard's bookkeeping, including its own fire log.
+// It is only ever touched from that shard's events, so its evolution is
+// identical whether the shards share one engine or run on a group — and
+// per-shard logs need no locking under parallel execution.
+type diffShard struct {
 	n       int // per-shard slot/id counter
-	ticks   int // recurring-tick counter (was a closure variable; rollback must rewind it)
+	ticks   int // recurring-tick counter
 	ids     []int
 	pending map[int]*Event
 	log     []fireRec
@@ -55,7 +55,7 @@ type diffShardState struct {
 type diffHarness struct {
 	seed    uint64
 	engines []*Engine // engine carrying each logical shard (may all be one)
-	state   [diffShards]*diffShardState
+	state   [diffShards]*diffShard
 
 	stopAtID int // fire Stop when this event id fires (-1 = never)
 }
@@ -63,7 +63,7 @@ type diffHarness struct {
 func newDiffHarness(seed uint64, engines []*Engine, stopAtID int) *diffHarness {
 	d := &diffHarness{seed: seed, engines: engines, stopAtID: stopAtID}
 	for s := range d.state {
-		d.state[s] = &diffShardState{pending: map[int]*Event{}}
+		d.state[s] = &diffShard{pending: map[int]*Event{}}
 	}
 	return d
 }
@@ -273,6 +273,44 @@ func TestShardedStopDeterministic(t *testing.T) {
 	}
 	logsEqual(t, "stop/2", ref, runSharded(seed, 2, stopAt))
 	logsEqual(t, "stop/4", ref, runSharded(seed, 4, stopAt))
+}
+
+// TestShardedSameTimeCrossOriginOrder pins same-time deliveries from two
+// origin shards to one destination: C sends at t=6 and A at t=7, both
+// landing on D at t=10 with lookahead 3. The serial engine fires them in
+// scheduling order [C A], and the window barrier's canonical (when, source
+// shard, staging order) merge must reproduce that order at every worker
+// count. Fixed-seed differentials never generated this pattern.
+func TestShardedSameTimeCrossOriginOrder(t *testing.T) {
+	const lookahead = 3
+	// program arms the events on d (destination), e (an unrelated early
+	// event), c and a (the two origins) and returns the delivery log.
+	program := func(d, e, c, a *Engine) *[]string {
+		var order []string
+		e.At(5, "e5", func() {})
+		c.At(6, "c6", func() {
+			c.ScheduleOn(d, 10, "fromC", func() { order = append(order, "C") })
+		})
+		c.At(8, "c8", func() {})
+		a.At(7, "a7", func() {
+			a.ScheduleOn(d, 10, "fromA", func() { order = append(order, "A") })
+		})
+		return &order
+	}
+	s := NewEngineWithCore(1, CoreWheel)
+	serial := program(s, s, s, s)
+	s.RunUntilIdle()
+	if want := []string{"C", "A"}; !reflect.DeepEqual(*serial, want) {
+		t.Fatalf("serial order %v, want %v", *serial, want)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		g := NewShardGroup(1, 4, workers, lookahead)
+		got := program(g.Shard(0), g.Shard(1), g.Shard(2), g.Shard(3))
+		g.RunUntilIdle()
+		if !reflect.DeepEqual(*got, *serial) {
+			t.Errorf("sharded@%d order %v, want serial %v", workers, *got, *serial)
+		}
+	}
 }
 
 // TestShardedCrossBelowLookaheadPanics pins the conservative guarantee: a

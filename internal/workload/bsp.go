@@ -54,38 +54,6 @@ func (s BSPSpec) StepWork(src *sim.Source, rank, step int) sim.Time {
 	return cr.Jitter(s.ComputeMean, s.ComputeJitter)
 }
 
-// bspRank0 checkpoints the collective-time accumulator rank 0 maintains:
-// `inColl +=` is not idempotent under optimistic re-execution, so the pair
-// rides a rollback layer on rank 0's shard (a no-op registration on the
-// other cores).
-type bspRank0 struct {
-	inColl    sim.Time
-	collStart sim.Time
-	pool      []*bspRank0Snap
-}
-
-type bspRank0Snap struct{ inColl, collStart sim.Time }
-
-func (b *bspRank0) Save() any {
-	var s *bspRank0Snap
-	if k := len(b.pool); k > 0 {
-		s = b.pool[k-1]
-		b.pool[k-1] = nil
-		b.pool = b.pool[:k-1]
-	} else {
-		s = &bspRank0Snap{}
-	}
-	s.inColl, s.collStart = b.inColl, b.collStart
-	return s
-}
-
-func (b *bspRank0) Restore(snap any) {
-	s := snap.(*bspRank0Snap)
-	b.inColl, b.collStart = s.inColl, s.collStart
-}
-
-func (b *bspRank0) Release(snap any) { b.pool = append(b.pool, snap.(*bspRank0Snap)) }
-
 // RunBSP executes the BSP application and measures rank 0's collective
 // share. Load imbalance is drawn per (rank, step), so the workload runs
 // under IntraRunWorkers.
@@ -95,10 +63,8 @@ func RunBSP(c *cluster.Cluster, spec BSPSpec, horizon sim.Time) (BSPResult, erro
 	}
 	res := BSPResult{}
 	src := c.Eng.Source()
-	r0 := &bspRank0{}
-	if c.OptGroup != nil {
-		c.Nodes[0].Engine().AddShardState(r0)
-	}
+	// Rank 0's time inside collectives and the start of its current one.
+	var inColl, collStart sim.Time
 
 	program := func(r *mpi.Rank) {
 		var step func(i int)
@@ -126,11 +92,11 @@ func RunBSP(c *cluster.Cluster, spec BSPSpec, horizon sim.Time) (BSPResult, erro
 						return
 					}
 					if r.ID() == 0 {
-						r0.collStart = r.Now()
+						collStart = r.Now()
 					}
 					r.Allreduce(1, func(float64) {
 						if r.ID() == 0 {
-							r0.inColl += r.Now() - r0.collStart
+							inColl += r.Now() - collStart
 						}
 						reduce(k + 1)
 					})
@@ -147,10 +113,10 @@ func RunBSP(c *cluster.Cluster, spec BSPSpec, horizon sim.Time) (BSPResult, erro
 
 	wall, ok := c.Launch(program, horizon)
 	res.Wall = wall
-	res.CollectiveTime = r0.inColl
+	res.CollectiveTime = inColl
 	res.Completed = ok
 	if wall > 0 {
-		res.CollectiveShare = float64(r0.inColl) / float64(wall)
+		res.CollectiveShare = float64(inColl) / float64(wall)
 	}
 	return res, nil
 }
