@@ -27,13 +27,17 @@ race-sharded:
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
 
-# fuzz-smoke runs the engine differential fuzz target briefly: generated
-# event programs (schedules, cancels, reschedules, recurring events,
-# cross-shard sends, stops) must fire identically on the heap, wheel and
-# sharded cores. Commit any crasher it finds under
-# internal/sim/testdata/fuzz/ so it replays in every plain test run.
+# fuzz-smoke runs the engine fuzz targets briefly. FuzzEngineDifferential:
+# generated event programs (schedules, cancels, reschedules, recurring
+# events, cross-shard sends, stops) must fire identically on the heap, wheel
+# and sharded cores. FuzzWheelMatchesHeap: programs with same-time
+# collisions, in-handler inserts below the wheel frontier and every wheel
+# level must fire in exactly the heap core's order. Commit any crasher
+# either finds under internal/sim/testdata/fuzz/ so it replays in every
+# plain test run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 10s ./internal/sim/
 
 # perfbench-smoke runs the benchmark's own smoke test (perfbench is a
 # separate module, so the root test run never sees it): tiny workload

@@ -133,8 +133,9 @@ type Core int
 
 const (
 	// CoreWheel is the hierarchical timer wheel (the default): O(1)
-	// schedule, cancel and reschedule, with a small per-slot heap that
-	// preserves exact (when, seq) firing order.
+	// schedule, cancel and reschedule; each drained slot is sorted once,
+	// and a small heap takes late inserts below the frontier, preserving
+	// exact (when, seq) firing order.
 	CoreWheel Core = iota
 	// CoreHeap is the single 4-ary heap the simulator originally shipped
 	// with. It is kept as the reference implementation: differential tests

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -33,7 +35,7 @@ func mirroredEngines(t *testing.T, seed int64, ops, maxDelta int) (wheelLog, hea
 			switch op := rng.Intn(10); {
 			case op < 5: // schedule
 				d := Time(rng.Intn(maxDelta)) + 1
-				label := string(rune('a' + i%26))
+				label := strconv.Itoa(i) // unique, so any same-time swap shows
 				live = append(live, e.After(d, label, record(label)))
 			case op < 7 && len(live) > 0: // cancel
 				idx := rng.Intn(len(live))
@@ -87,8 +89,8 @@ func TestWheelMatchesHeapRandomized(t *testing.T) {
 }
 
 // TestWheelSameTimeFIFO: same-time events fire in schedule order across all
-// wheel levels (entries reach the imminent heap via different paths — direct
-// insert, near drain, far cascade — and must still sort by seq).
+// wheel levels (entries reach the run or the late heap via different paths —
+// direct insert, near drain, far cascade — and must still sort by seq).
 func TestWheelSameTimeFIFO(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
 	const at = Time(3 * Millisecond)
@@ -115,22 +117,98 @@ func TestWheelSameTimeFIFO(t *testing.T) {
 	}
 }
 
-// TestWheelLevelPlacement exercises each queue level explicitly: imminent
-// (past-frontier), near slot, far slot, overflow, and the near-Forever
-// horizon math that must not overflow int64.
+// levelOf reports which wheel structure holds ev's live entry: "late",
+// "run", "near", "far" or "overflow", or "" if none does.
+func levelOf(w *wheel, ev *Event) string {
+	holds := func(ents []entry) bool {
+		for _, en := range ents {
+			if en.ev == ev && en.live() {
+				return true
+			}
+		}
+		return false
+	}
+	slotsHold := func(slots []slotList) bool {
+		for _, sl := range slots {
+			for c := sl.head; c != nil; c = c.next {
+				if holds(c.ents[:c.n]) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	switch {
+	case holds(w.late):
+		return "late"
+	case holds(w.run[w.head:]):
+		return "run"
+	case slotsHold(w.near[:]):
+		return "near"
+	case slotsHold(w.far[:]):
+		return "far"
+	case holds(w.overflow):
+		return "overflow"
+	}
+	return ""
+}
+
+// farSlotWidth is the span of one far-wheel slot.
+const farSlotWidth = Time(1) << farShift
+
+// TestWheelLevelPlacement places one entry at each distance from the
+// frontier and asserts the structure that holds it — near slot, far slot,
+// overflow, and the near-Forever horizon whose arithmetic must not overflow
+// int64 — then drains the first slot and checks the run/late split: a
+// handler's insert below the frontier goes to the late heap and fires
+// before a later entry still waiting in the run.
 func TestWheelLevelPlacement(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
+	w := &e.wheel
 	var order []string
-	add := func(d Time, label string) {
-		e.After(d, label, func() { order = append(order, label) })
+	fire := func(label string) func() {
+		return func() { order = append(order, label) }
 	}
-	add(100, "imminent")                                   // sub-slot
-	add(20*nearSlotWidth, "near")                          // inside the near window
-	add(wheelSlots*nearSlotWidth*3, "far")                 // beyond near, inside far
-	add(wheelSlots*wheelSlots*nearSlotWidth*2, "overflow") // beyond far
-	add(Forever-1, "edge")                                 // horizon arithmetic stress
+	var second *Event
+	e.At(nearSlotWidth/2, "first", func() {
+		order = append(order, "first")
+		late := e.After(1, "late", fire("late"))
+		if got := levelOf(w, late); got != "late" {
+			t.Errorf("insert below the frontier is in %q, want late", got)
+		}
+		if got := levelOf(w, second); got != "run" {
+			t.Errorf("rest of the drained slot is in %q, want run", got)
+		}
+	})
+	second = e.At(nearSlotWidth/2+10, "second", fire("second"))
+	placed := []struct {
+		at    Time
+		label string
+		level string
+	}{
+		{nearSlotWidth - 1, "slot-end", "near"},
+		{20 * nearSlotWidth, "near", "near"},
+		{wheelSlots*nearSlotWidth - 1, "near-edge", "near"},
+		{wheelSlots * nearSlotWidth, "far-start", "far"},
+		{3 * farSlotWidth, "far", "far"},
+		{wheelSlots*farSlotWidth - 1, "far-edge", "far"},
+		{wheelSlots * farSlotWidth, "overflow", "overflow"},
+		{Forever - 1, "edge", "overflow"},
+	}
+	for _, p := range placed {
+		ev := e.At(p.at, p.label, fire(p.label))
+		if got := levelOf(w, ev); got != p.level {
+			t.Errorf("%s at %v is in %q, want %s", p.label, p.at, got, p.level)
+		}
+	}
+	if got := levelOf(w, second); got != "near" {
+		t.Errorf("second is in %q before any drain, want near", got)
+	}
 	e.RunUntilIdle()
-	want := []string{"imminent", "near", "far", "overflow", "edge"}
+	want := []string{"first", "late", "second"}
+	for _, p := range placed {
+		want = append(want, p.label)
+	}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -170,20 +248,81 @@ func TestWheelCancelEverywhere(t *testing.T) {
 	}
 }
 
-// TestWheelRescheduleAcrossLevels moves one event between levels repeatedly
-// and checks it fires exactly once at its final time.
+// TestWheelRescheduleAcrossLevels moves one event between levels repeatedly,
+// asserting the structure that holds its live entry after every move, and
+// checks it fires exactly once at its final time. The second half moves it
+// from inside a handler, once its slot has been drained into the run.
 func TestWheelRescheduleAcrossLevels(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
+	w := &e.wheel
 	count := 0
 	ev := e.After(Hour, "mover", func() { count++ })
-	e.Reschedule(ev, Time(40))                         // into imminent range
-	e.Reschedule(ev, Time(100*nearSlotWidth))          // near
-	e.Reschedule(ev, Time(wheelSlots*nearSlotWidth*7)) // far
-	final := Time(2 * Millisecond)
-	e.Reschedule(ev, final)
+	move := func(to Time, level string) {
+		t.Helper()
+		e.Reschedule(ev, to)
+		if got := levelOf(w, ev); got != level {
+			t.Errorf("rescheduled to %v: in %q, want %s", to, got, level)
+		}
+	}
+	if got := levelOf(w, ev); got != "overflow" {
+		t.Errorf("an hour out: in %q, want overflow", got)
+	}
+	base := 5 * nearSlotWidth
+	move(nearSlotWidth/2, "near")
+	move(100*nearSlotWidth, "near")
+	move(7*farSlotWidth, "far")
+	move(wheelSlots*farSlotWidth*2, "overflow")
+	move(base+nearSlotWidth/2, "near")
+	e.At(base+1, "probe", func() {
+		if got := levelOf(w, ev); got != "run" {
+			t.Errorf("after the drain: in %q, want run", got)
+		}
+		move(e.Now()+2, "late")
+		move(3*farSlotWidth, "far")
+		move(e.Now()+nearSlotWidth, "near")
+		move(base+nearSlotWidth-1, "late")
+	})
+	final := base + nearSlotWidth - 1
 	e.RunUntilIdle()
 	if count != 1 || e.Now() != final {
 		t.Fatalf("count=%d now=%v, want 1 fire at %v", count, e.Now(), final)
+	}
+}
+
+// TestSortEntries checks the run sort against sort.Slice on random,
+// sorted, reversed and same-time inputs at lengths on both sides of the
+// insertion-sort cutoff.
+func TestSortEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, insertionSortMax, insertionSortMax + 1, 40, 333, 2000} {
+		for shape := 0; shape < 4; shape++ {
+			a := make([]entry, n)
+			for i := range a {
+				a[i].seq = uint64(i)
+				switch shape {
+				case 0:
+					a[i].when = Time(rng.Intn(1000))
+				case 1:
+					a[i].when = Time(i)
+				case 2:
+					a[i].when = Time(n - i)
+				default:
+					a[i].when = 7 // all tied: seq alone orders
+				}
+			}
+			rng.Shuffle(n, func(i, j int) { a[i], a[j] = a[j], a[i] })
+			if shape == 1 || shape == 2 {
+				sort.Slice(a, func(i, j int) bool { return a[i].seq < a[j].seq })
+			}
+			want := append([]entry(nil), a...)
+			sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
+			sortEntries(a)
+			for i := range want {
+				if a[i] != want[i] {
+					t.Fatalf("n=%d shape=%d: position %d = %+v, want %+v", n, shape, i, a[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -314,6 +453,40 @@ func BenchmarkWheelVsHeapChurn(b *testing.B) {
 					e.Step()
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWheelSlotBurst times the slot-local ordering path: a burst of
+// 944 events (one per rank of a 59-node, 16-way run) spread over a single
+// near slot, each of whose handlers schedules a sub-slot follow-on, as an
+// Allreduce round does. One op is one burst; ns/event divides by the 1888
+// events it fires. BenchmarkEngineScheduleFire is the contrast: it only
+// ever holds one pending event.
+func BenchmarkWheelSlotBurst(b *testing.B) {
+	const ranks = 944
+	for _, bc := range []struct {
+		name string
+		core Core
+	}{{"wheel", CoreWheel}, {"heap", CoreHeap}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngineWithCore(1, bc.core)
+			follow := func() {}
+			handlers := make([]func(), ranks)
+			for i := range handlers {
+				d := Time(1 + i*37%300)
+				handlers[i] = func() { e.After(d, "follow", follow) }
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				base := (e.Now()>>nearShift + 2) << nearShift // a fresh slot
+				for i, h := range handlers {
+					e.At(base+Time(i*7919)%nearSlotWidth, "burst", h)
+				}
+				e.RunUntilIdle()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*ranks), "ns/event")
 		})
 	}
 }
