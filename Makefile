@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-sharded fuzz-smoke perfbench-smoke bench bench-engine bench-pdes bench-mem bench-check huge huge-smoke fault-smoke profile check
+.PHONY: build test vet race race-sharded fuzz-smoke perfbench-smoke bench huge huge-smoke fault-smoke profile check
 
 build:
 	$(GO) build ./...
@@ -27,17 +27,20 @@ race-sharded:
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
 
-# fuzz-smoke runs the engine fuzz targets briefly. FuzzEngineDifferential:
+# fuzz-smoke runs the fuzz targets briefly. FuzzEngineDifferential:
 # generated event programs (schedules, cancels, reschedules, recurring
 # events, cross-shard sends, stops) must fire identically on the heap, wheel
 # and sharded cores. FuzzWheelMatchesHeap: programs with same-time
 # collisions, in-handler inserts below the wheel frontier and every wheel
-# level must fire in exactly the heap core's order. Commit any crasher
-# either finds under internal/sim/testdata/fuzz/ so it replays in every
-# plain test run.
+# level must fire in exactly the heap core's order. FuzzParseAdminFile:
+# the co-scheduler's admin-file parser never panics, returns only valid
+# records, and accepts a file iff it accepts each of its lines. Commit any
+# crasher under the package's testdata/fuzz/ so it replays in every plain
+# test run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzParseAdminFile -fuzztime 10s ./internal/cosched/
 
 # perfbench-smoke runs the benchmark's own smoke test (perfbench is a
 # separate module, so the root test run never sees it): tiny workload
@@ -47,39 +50,6 @@ perfbench-smoke:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# bench-engine regenerates results/bench_engine.json: the two acceptance
-# scenarios plus the engine micro-benchmarks, each measured under the
-# timer-wheel core and the reference heap core in one process, with the
-# recorded pre-change numbers (results/bench_baseline.json) merged in.
-bench-engine:
-	mkdir -p results
-	$(GO) run ./cmd/enginebench -baseline results/bench_baseline.json -o results/bench_engine.json
-
-# bench-pdes regenerates results/bench_pdes.json: the full-cluster scenarios
-# measured serially and on the sharded conservative-window core at 2 and 4
-# intra-run workers, with window statistics.
-bench-pdes:
-	mkdir -p results
-	$(GO) run ./cmd/enginebench -mode pdes -o results/bench_pdes.json
-
-# bench-mem regenerates results/bench_mem.json: bytes and allocations per
-# simulated event on the cluster scenarios (including a 256-node one), plus
-# testing.AllocsPerOp-style micro-benchmarks of the MPI hot path and the
-# sharded window loop, compared against the recorded pre-flattening numbers
-# (results/bench_mem_baseline.json).
-bench-mem:
-	mkdir -p results
-	$(GO) run ./cmd/enginebench -mode mem -mem-baseline results/bench_mem_baseline.json -o results/bench_mem.json
-
-# bench-check is the CI perf guard: re-measure the two acceptance scenarios
-# wheel-only and fail if either loses more than 25% events/s against the
-# committed results/bench_engine.json; guard the serial throughput of the
-# pdes scenarios (plain and jittered) against results/bench_pdes.json; then
-# guard bytes-per-event on the same scenarios against the committed
-# results/bench_mem.json (fail on >20% allocation growth).
-bench-check:
-	$(GO) run ./cmd/enginebench -mode check -against results/bench_engine.json -pdes-against results/bench_pdes.json -mem-against results/bench_mem.json
 
 # huge runs the extended scaling tier: the Allreduce sweep carried to 1024
 # sixteen-way nodes (16384 ranks) on the sharded conservative-window core,

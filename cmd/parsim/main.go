@@ -56,7 +56,6 @@ func run() int {
 		seed := fs.Int64("seed", 1, "base RNG seed")
 		procs := fs.Int("procs", 0, "total worker budget (0 = GOMAXPROCS, 1 = serial)")
 		shardProcs := fs.Int("shard-procs", 0, "workers per single run on the sharded engine core (carved out of -procs; 0/1 = serial engine per run)")
-		shardGroup := fs.Int("shard-group", 0, "nodes per event shard under the sharded core (0 = automatic coarsening)")
 		core := fs.String("core", "", "engine core per simulation: heap, wheel or sharded (default wheel; outputs are bit-identical across cores)")
 		csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 		verbose := fs.Bool("v", false, "print per-run progress")
@@ -86,10 +85,6 @@ func run() int {
 			case "shard-procs":
 				if *shardProcs <= 0 {
 					flagErr = fmt.Sprintf("-shard-procs %d: intra-run worker count must be positive (omit the flag for the serial engine)", *shardProcs)
-				}
-			case "shard-group":
-				if *shardGroup <= 0 {
-					flagErr = fmt.Sprintf("-shard-group %d: nodes per shard must be positive (omit the flag for automatic coarsening)", *shardGroup)
 				}
 			case "nodes":
 				if *nodes <= 0 {
@@ -128,16 +123,6 @@ func run() int {
 		default:
 			fmt.Fprintf(os.Stderr, "parsim: -core %q: pick heap, wheel or sharded\n", *core)
 			return 2
-		}
-		// -shard-group only means something when runs execute on the sharded
-		// engine; reject the combination up front rather than silently
-		// ignoring the flag on the serial cores.
-		if *shardGroup > 0 {
-			sharded := engineCore == sim.CoreSharded || *shardProcs > 1 || *hugeTier
-			if !sharded {
-				fmt.Fprintln(os.Stderr, "parsim: -shard-group needs the sharded engine: add -core sharded, -shard-procs N (N > 1), or -huge")
-				return 2
-			}
 		}
 		if os.Args[1] == "all" {
 			names = nil
@@ -215,7 +200,6 @@ func run() int {
 		opts.BaseSeed = *seed
 		opts.Parallelism = *procs
 		opts.ShardWorkers = *shardProcs
-		opts.ShardNodeGroup = *shardGroup
 		opts.Core = engineCore
 		opts.CheckpointPath = *checkpoint
 		opts.Resume = *resume
@@ -292,12 +276,6 @@ flags for run/all (may precede or follow experiment names):
                procs/shard-procs, so the total never exceeds -procs.
                0 or 1 runs each simulation on the serial engine. Outputs
                are bit-identical at any setting.
-  -shard-group N  nodes per event shard under the sharded core
-               (0 = automatic coarsening, about nodes/(4*workers)).
-               Coarser shards amortize per-shard overhead; finer shards
-               expose more parallelism. Requires the sharded engine (-core
-               sharded, -shard-procs, or -huge); outputs are bit-identical
-               at any grouping.
   -core NAME   engine core per simulation: heap, wheel (default) or
                sharded (workers default to -shard-procs or GOMAXPROCS).
                Outputs are bit-identical across cores.

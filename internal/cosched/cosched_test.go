@@ -1,6 +1,8 @@
 package cosched
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,12 +66,66 @@ func TestParseAdminFileErrors(t *testing.T) {
 		"bad:-1:xx:100:5:90",
 		"starver:-1:30:100:5:100", // 100% duty refused by Validate
 		"inverted:-1:100:30:5:90",
+		"nan-duty:-1:30:100:5:NaN", // NaN fails every ordered comparison
+		"inf-period:-1:30:100:Inf:90",
+		"long-period:-1:30:100:1e10:90", // 1e19 ns overflows sim.Time
+		"float-uid:1.7:30:100:5:90",
+		"huge-uid:1e30:30:100:5:90",
+		"uid-below-any:-2:30:100:5:90",
+		// A line over bufio.Scanner's 64 KiB limit stops the scan; the
+		// records before it must not come back as a complete file.
+		"ok:-1:30:100:5:90\n#" + strings.Repeat("x", 70000) + "\nlater:-1:30:100:5:90\n",
 	}
 	for _, text := range cases {
 		if _, err := ParseAdminFile(text); err == nil {
-			t.Errorf("accepted %q", text)
+			t.Errorf("accepted %.80q", text)
 		}
 	}
+}
+
+// FuzzParseAdminFile checks the admin-file parser on arbitrary text: it never
+// panics, every record it returns is valid with a finite duty and a positive
+// in-range period, and a file is accepted iff each of its lines is, yielding
+// the lines' records in order.
+func FuzzParseAdminFile(f *testing.F) {
+	for _, s := range []string{
+		"# /etc/poe.priority\nbenchmark:-1:30:100:5:90\nproduction:501:41:100:10:95   # tuned for GPFS\n",
+		"too:few:fields",
+		"starver:-1:30:100:5:100",
+		"prod:-1:30:100:5:NaN",
+		"prod:1e30:30:100:5:90\r\nprod:1.7:30:100:5:90",
+		"prod:-1:30:100:0.001:0.5\n\n  :-1:30:100:5:90",
+		"prod:-1:30:100:9e9:90",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		recs, err := ParseAdminFile(text)
+		for _, p := range recs {
+			if verr := p.Validate(); verr != nil {
+				t.Fatalf("returned invalid record %+v: %v", p, verr)
+			}
+			if math.IsNaN(p.Duty) || math.IsInf(p.Duty, 0) || p.Period <= 0 || p.Period == sim.Forever {
+				t.Fatalf("returned record with duty %v, period %v", p.Duty, p.Period)
+			}
+		}
+		var want []Params
+		linesOK := true
+		for _, line := range strings.Split(text, "\n") {
+			lineRecs, lineErr := ParseAdminFile(line)
+			if lineErr != nil {
+				linesOK = false
+				break
+			}
+			want = append(want, lineRecs...)
+		}
+		if (err == nil) != linesOK {
+			t.Fatalf("file error %v, but every line accepted: %v", err, linesOK)
+		}
+		if err == nil && !slices.Equal(recs, want) {
+			t.Fatalf("file records %+v, line by line %+v", recs, want)
+		}
+	})
 }
 
 func TestLookupClass(t *testing.T) {

@@ -15,6 +15,7 @@ package cosched
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -113,7 +114,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("cosched: empty class name")
 	case p.Period <= 0:
 		return fmt.Errorf("cosched: class %s: period must be positive", p.Class)
-	case p.Duty <= 0 || p.Duty >= 1:
+	case !(p.Duty > 0 && p.Duty < 1): // also refuses NaN
 		return fmt.Errorf("cosched: class %s: duty %.2f outside (0,1) — a 100%% duty cycle starves system daemons (the paper had to reboot nodes)", p.Class, p.Duty)
 	case !p.Favored.Better(p.Unfavored):
 		return fmt.Errorf("cosched: class %s: favored %v must be better than unfavored %v", p.Class, p.Favored, p.Unfavored)
@@ -129,7 +130,9 @@ func (p Params) Validate() error {
 //
 //	class:uid:favored:unfavored:period_seconds:favored_percent
 //
-// '#' starts a comment; blank lines are ignored; uid -1 means any user.
+// '#' starts a comment; blank lines are ignored; uid -1 means any user. The
+// uid and both priorities are integers; the period and percentage are finite
+// decimals, the period within sim.Time's range.
 func ParseAdminFile(text string) ([]Params, error) {
 	var out []Params
 	sc := bufio.NewScanner(strings.NewReader(text))
@@ -148,25 +151,49 @@ func ParseAdminFile(text string) ([]Params, error) {
 		if len(fields) != 6 {
 			return nil, fmt.Errorf("cosched: line %d: want 6 ':'-separated fields, got %d", lineNo, len(fields))
 		}
-		p := DefaultParams()
-		p.Class = strings.TrimSpace(fields[0])
-		ints := make([]float64, 5)
-		for i, f := range fields[1:] {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		for i, f := range fields {
+			fields[i] = strings.TrimSpace(f)
+		}
+		var ints [3]int
+		for i, f := range fields[1:4] {
+			v, err := strconv.Atoi(f)
 			if err != nil {
 				return nil, fmt.Errorf("cosched: line %d field %d: %v", lineNo, i+2, err)
 			}
 			ints[i] = v
 		}
-		p.UserID = int(ints[0])
+		var floats [2]float64
+		for i, f := range fields[4:] {
+			v, err := strconv.ParseFloat(f, 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("%q is not a finite number", f)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("cosched: line %d field %d: %v", lineNo, i+5, err)
+			}
+			floats[i] = v
+		}
+		if ints[0] < -1 {
+			return nil, fmt.Errorf("cosched: line %d: uid %d: want -1 (any user) or a user id", lineNo, ints[0])
+		}
+		period := floats[0] * float64(sim.Second)
+		if math.Abs(period) >= float64(sim.Forever) {
+			return nil, fmt.Errorf("cosched: line %d: period %vs out of range", lineNo, floats[0])
+		}
+		p := DefaultParams()
+		p.Class = fields[0]
+		p.UserID = ints[0]
 		p.Favored = kernel.Priority(ints[1])
 		p.Unfavored = kernel.Priority(ints[2])
-		p.Period = sim.Time(ints[3] * float64(sim.Second))
-		p.Duty = ints[4] / 100
+		p.Period = sim.Time(period)
+		p.Duty = floats[1] / 100
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("cosched: line %d: %w", lineNo, err)
 		}
 		out = append(out, p)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("cosched: line %d: %w", lineNo+1, err)
 	}
 	return out, nil
 }

@@ -55,12 +55,6 @@ type Options struct {
 	// only wall-clock and its distribution across runs change. 0 and 1
 	// keep runs on the serial engine.
 	ShardWorkers int
-	// ShardNodeGroup, when > 0, maps this many nodes onto each event shard
-	// under the sharded core (cluster.Config.ShardNodeGroup), overriding the
-	// automatic nodes/(4*workers) coarsening heuristic. 0 keeps the
-	// heuristic. Outputs are bit-identical at any grouping; only per-shard
-	// work granularity changes.
-	ShardNodeGroup int
 	// Core selects every run's engine core (cluster.Config.Core). The zero
 	// value is the timer wheel. Outputs are bit-identical on every core.
 	Core sim.Core
@@ -107,9 +101,6 @@ func (o Options) validate() error {
 	}
 	if o.ShardWorkers < 0 {
 		return fmt.Errorf("experiment: ShardWorkers must be >= 0 (0/1 = serial engine)")
-	}
-	if o.ShardNodeGroup < 0 {
-		return fmt.Errorf("experiment: ShardNodeGroup must be >= 0 (0 = automatic grouping)")
 	}
 	return nil
 }

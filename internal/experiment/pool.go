@@ -142,9 +142,6 @@ func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
 		if shard > 1 {
 			j.Cfg.IntraRunWorkers = shard
 		}
-		if o.ShardNodeGroup > 0 {
-			j.Cfg.ShardNodeGroup = o.ShardNodeGroup
-		}
 		c, err := buildCluster(j.Cfg)
 		if err != nil {
 			return runOut{}, err
