@@ -23,16 +23,21 @@ race:
 # detector at two scheduler widths. GOMAXPROCS changes how shard worker
 # goroutines interleave, so both widths must stay clean AND bit-identical —
 # the tests themselves compare sharded output against the serial engine.
+# The explicit timeout makes a lost barrier wakeup fail within minutes, with
+# a goroutine dump, instead of after go test's default 10.
 race-sharded:
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -timeout 5m -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 5m -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
 
 # fuzz-smoke runs the fuzz targets briefly. FuzzEngineDifferential:
 # generated event programs (schedules, cancels, reschedules, recurring
 # events, cross-shard sends, stops) must fire identically on the heap, wheel
 # and sharded cores. FuzzWheelMatchesHeap: programs with same-time
 # collisions, in-handler inserts below the wheel frontier and every wheel
-# level must fire in exactly the heap core's order. FuzzParseAdminFile:
+# level must fire in exactly the heap core's order. FuzzShardedSameTime:
+# programs where several shards deliver to one shard at the same time must
+# keep the window barrier's canonical merge order and fire identically at
+# 1, 2 and 4 workers. FuzzParseAdminFile:
 # the co-scheduler's admin-file parser never panics, returns only valid
 # records, and accepts a file iff it accepts each of its lines. Commit any
 # crasher under the package's testdata/fuzz/ so it replays in every plain
@@ -40,6 +45,7 @@ race-sharded:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzShardedSameTime -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzParseAdminFile -fuzztime 10s ./internal/cosched/
 
 # perfbench-smoke runs the benchmark's own smoke test (perfbench is a

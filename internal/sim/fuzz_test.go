@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -36,6 +37,37 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 		logsEqual(t, "sharded/2", ref, runSharded(seed, 2, stopAt))
 		logsEqual(t, "sharded/4", ref, runSharded(seed, 4, stopAt))
+	})
+}
+
+// FuzzShardedSameTime drives the differential harness in same-time mode
+// (see diffHarness): several origins deliver to one destination at the
+// same time, and one origin sends bursts there at one time. The serial
+// cores order such ties by scheduling time and legitimately differ (see
+// TestShardedSameTimeCrossOriginOrder), so the oracle is the sharded core
+// itself: every shard's fire log must honour the canonical merge order and
+// be identical at 1, 2 and 4 workers. stop names the stopping event as in
+// FuzzEngineDifferential.
+func FuzzShardedSameTime(f *testing.F) {
+	for _, seed := range []uint64{1, 7, 42, 1234} {
+		f.Add(seed, int16(-1))
+	}
+	f.Add(uint64(1), int16(200))
+	f.Fuzz(func(t *testing.T, seed uint64, stop int16) {
+		stopAt := -1
+		if stop >= 0 {
+			stopAt = int(stop)%diffShards*diffM + int(stop)/diffShards
+		}
+		ref := runShardedHarness(seed, 1, stopAt, true)
+		for s, st := range ref.state {
+			checkMergeOrder(t, fmt.Sprintf("sharded/1 shard %d", s), st.log)
+		}
+		for _, workers := range []int{2, 4} {
+			got := runShardedHarness(seed, workers, stopAt, true)
+			for s, st := range got.state {
+				logsEqual(t, fmt.Sprintf("sharded/%d shard %d", workers, s), ref.state[s].log, st.log)
+			}
+		}
 	})
 }
 

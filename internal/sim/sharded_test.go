@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The differential harness drives an identical randomized workload — local
@@ -17,6 +22,12 @@ import (
 // per-shard counter, so the low digits are a globally unique slot. Unique
 // times make the fire order a total order on `when` alone, which lets the
 // logs be compared across engines that break same-time ties differently.
+//
+// The same-time mode (ties) drops the slot from cross-shard deliveries:
+// they land exactly on coarse step boundaries, so several origins deliver
+// to one destination at the same time, and an origin sometimes sends a
+// burst of events to one destination at one time. Only the sharded core
+// at different worker counts can be compared on those logs.
 const (
 	diffShards = 5
 	diffM      = 1 << 16
@@ -35,9 +46,10 @@ func mix(vs ...uint64) uint64 {
 }
 
 type fireRec struct {
-	when  Time
-	shard int
-	id    int
+	when   Time
+	shard  int
+	id     int
+	staged Time // the origin's time when it sent a cross-shard event; 0 otherwise
 }
 
 // diffShard is one logical shard's bookkeeping, including its own fire log.
@@ -57,11 +69,12 @@ type diffHarness struct {
 	engines []*Engine // engine carrying each logical shard (may all be one)
 	state   [diffShards]*diffShard
 
-	stopAtID int // fire Stop when this event id fires (-1 = never)
+	stopAtID int  // fire Stop when this event id fires (-1 = never)
+	ties     bool // same-time mode: cross-shard deliveries collide
 }
 
-func newDiffHarness(seed uint64, engines []*Engine, stopAtID int) *diffHarness {
-	d := &diffHarness{seed: seed, engines: engines, stopAtID: stopAtID}
+func newDiffHarness(seed uint64, engines []*Engine, stopAtID int, ties bool) *diffHarness {
+	d := &diffHarness{seed: seed, engines: engines, stopAtID: stopAtID, ties: ties}
 	for s := range d.state {
 		d.state[s] = &diffShard{pending: map[int]*Event{}}
 	}
@@ -90,31 +103,42 @@ func (d *diffHarness) scheduleLocal(shard int, q Time, h uint64) {
 	id, slot := d.alloc(shard)
 	when := (q+1+Time(h%4))*diffU + slot
 	e := d.engines[shard]
-	ev := e.At(when, "local", func() { d.fired(shard, id) })
+	ev := e.At(when, "local", func() { d.fired(shard, id, 0) })
 	st := d.state[shard]
 	st.pending[id] = ev
 	st.ids = append(st.ids, id)
 }
 
 // scheduleCross stages an event onto dst from src; the time is at least one
-// full coarse step (= the group lookahead) past src's now, and is allocated
-// from src's slot counter so identity stays deterministic. Cross events are
-// untracked — only the owning shard may cancel or reschedule, and the
-// destination never learns of the event until it fires.
+// full coarse step (= the group lookahead) past src's now, and its id is
+// allocated from src's slot counter so identity stays deterministic. In
+// same-time mode the time is the coarse boundary itself, and the origin
+// may send up to three events there. Cross events are untracked — only the
+// owning shard may cancel or reschedule, and the destination never learns
+// of the event until it fires.
 func (d *diffHarness) scheduleCross(src, dst int, q Time, h uint64) {
-	if d.state[src].n >= diffCap {
-		return
+	sends := uint64(1)
+	if d.ties {
+		sends += (h >> 2) % 3
 	}
-	id, slot := d.alloc(src)
-	when := (q+2+Time(h%4))*diffU + slot
-	d.engines[src].ScheduleOn(d.engines[dst], when, "cross", func() { d.fired(dst, id) })
+	staged := d.engines[src].Now()
+	for ; sends > 0 && d.state[src].n < diffCap; sends-- {
+		id, slot := d.alloc(src)
+		when := (q + 2 + Time(h%4)) * diffU
+		if !d.ties {
+			when += slot
+		}
+		d.engines[src].ScheduleOn(d.engines[dst], when, "cross", func() { d.fired(dst, id, staged) })
+	}
 }
 
-func (d *diffHarness) fired(shard, id int) {
+// fired logs a firing and runs the event's hashed decisions. staged is
+// the origin's send time for a cross-shard event, 0 otherwise.
+func (d *diffHarness) fired(shard, id int, staged Time) {
 	e := d.engines[shard]
 	now := e.Now()
 	st := d.state[shard]
-	st.log = append(st.log, fireRec{now, shard, id})
+	st.log = append(st.log, fireRec{now, shard, id, staged})
 	if id == d.stopAtID {
 		e.Stop()
 	}
@@ -132,7 +156,11 @@ func (d *diffHarness) fired(shard, id int) {
 	for k := uint64(0); k < h%3; k++ {
 		d.scheduleLocal(shard, q, h>>(8+4*k))
 	}
-	if (h>>16)%4 == 0 {
+	crossOdds := uint64(4)
+	if d.ties {
+		crossOdds = 2
+	}
+	if (h>>16)%crossOdds == 0 {
 		dst := (shard + 1 + int(h>>20)%(diffShards-1)) % diffShards
 		d.scheduleCross(shard, dst, q, h>>24)
 	}
@@ -166,7 +194,7 @@ func (d *diffHarness) seedWork() {
 		d.engines[s].Recur(diffU+slot, "tick", func() Time {
 			e := d.engines[s]
 			st := d.state[s]
-			st.log = append(st.log, fireRec{e.Now(), s, id})
+			st.log = append(st.log, fireRec{e.Now(), s, id, 0})
 			st.ticks++
 			if st.ticks >= 40 || st.n >= diffCap {
 				return RecurStop
@@ -205,24 +233,57 @@ func runSerial(seed uint64, core Core, stopAtID int) []fireRec {
 	for i := range engines {
 		engines[i] = e
 	}
-	d := newDiffHarness(seed, engines, stopAtID)
+	d := newDiffHarness(seed, engines, stopAtID, false)
 	d.seedWork()
 	e.RunUntilIdle()
 	return d.sortedLog()
 }
 
 // runSharded drives the workload on a ShardGroup with the given workers.
-// The lookahead is one coarse step, matching scheduleCross's guarantee.
 func runSharded(seed uint64, workers, stopAtID int) []fireRec {
+	return runShardedHarness(seed, workers, stopAtID, false).sortedLog()
+}
+
+// runShardedHarness drives the workload, in same-time mode if ties, on a
+// ShardGroup with the given workers and returns the harness. The lookahead
+// is one coarse step, matching scheduleCross's guarantee.
+func runShardedHarness(seed uint64, workers, stopAtID int, ties bool) *diffHarness {
 	g := NewShardGroup(0, diffShards, workers, diffU)
 	engines := make([]*Engine, diffShards)
 	for i := range engines {
 		engines[i] = g.Shard(i)
 	}
-	d := newDiffHarness(seed, engines, stopAtID)
+	d := newDiffHarness(seed, engines, stopAtID, ties)
 	d.seedWork()
 	g.RunUntilIdle()
-	return d.sortedLog()
+	return d
+}
+
+// checkMergeOrder asserts the barrier's canonical merge order on one shard's
+// fire log. Windows partition time in order, so among cross-shard
+// deliveries at one time, x was merged before y — at an earlier barrier,
+// or at the same barrier ahead of y in (source shard, staging order) — if
+// x came from the same source earlier (a smaller id), or from a
+// lower-numbered source no later. Such an x must fire first.
+func checkMergeOrder(t *testing.T, tag string, log []fireRec) {
+	t.Helper()
+	src := func(r fireRec) int { return r.id / diffM }
+	for i, y := range log {
+		if y.staged == 0 {
+			continue
+		}
+		for _, x := range log[i+1:] {
+			if x.when != y.when {
+				break
+			}
+			if x.staged == 0 {
+				continue
+			}
+			if src(x) == src(y) && x.id < y.id || src(x) < src(y) && x.staged <= y.staged {
+				t.Fatalf("%s: cross-shard %+v fired after %+v, which it precedes in merge order", tag, x, y)
+			}
+		}
+	}
 }
 
 func logsEqual(t *testing.T, tag string, want, got []fireRec) {
@@ -355,7 +416,7 @@ func TestShardGroupStats(t *testing.T) {
 	for i := range engines {
 		engines[i] = g.Shard(i)
 	}
-	d := newDiffHarness(7, engines, -1)
+	d := newDiffHarness(7, engines, -1, false)
 	d.seedWork()
 	g.RunUntilIdle()
 	st := g.Stats()
@@ -371,4 +432,171 @@ func TestShardGroupStats(t *testing.T) {
 	if g.Fired() != uint64(d.logLen()) {
 		t.Errorf("group fired %d, log has %d", g.Fired(), d.logLen())
 	}
+}
+
+// parkedIn reports whether some goroutine is parked on a channel receive in
+// parker.wait with frame in its stack: "(*windowPool).run(" for the
+// coordinator, "newWindowPool.func" for a helper.
+func parkedIn(frame string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, "(*parker).wait") && strings.Contains(g, frame) {
+			return true
+		}
+	}
+	return false
+}
+
+// await polls cond for up to two seconds of host time.
+func await(cond func() bool) bool {
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		if cond() {
+			return true
+		}
+	}
+	return cond()
+}
+
+// parkProgram arms rounds of 1 ms of simulated time on a 3-shard group.
+// Each round opens with a multi-shard window (an event per shard, each
+// sending to the next shard and arming a local follow-on), then runs a
+// single-shard stretch on shard 0. With probe set, every stretch holds its
+// window until a parked helper is seen, so the next round must wake it,
+// and round 1 adds a window whose two shards meet, after which the
+// coordinator's returns at once and the helper's holds until the
+// coordinator is seen parked at the barrier. The probes spend host time
+// only; the returned per-shard fire logs do not depend on them.
+func parkProgram(g *ShardGroup, rounds int, probe bool) (logs *[3][]string, helperParked, coordParked *bool) {
+	logs = new([3][]string)
+	helperParked, coordParked = new(bool), new(bool)
+	var met atomic.Int32
+	for r := 0; r < rounds; r++ {
+		base := Time(r) * Millisecond
+		for s := 0; s < 3; s++ {
+			e, dst, tag := g.Shard(s), g.Shard((s+1)%3), fmt.Sprintf("r%d", r)
+			e.At(base+Time(s)*Microsecond, "open", func() {
+				logs[s] = append(logs[s], fmt.Sprintf("%s open %v", tag, e.Now()))
+				from := s
+				e.ScheduleOn(dst, e.Now()+g.Lookahead(), "send", func() {
+					logs[dst.ShardID()] = append(logs[dst.ShardID()], fmt.Sprintf("%s from %d %v", tag, from, dst.Now()))
+				})
+				e.After(2*Microsecond, "follow", func() {
+					logs[s] = append(logs[s], fmt.Sprintf("%s follow %v", tag, e.Now()))
+				})
+			})
+		}
+		r := r
+		e0 := g.Shard(0)
+		e0.At(base+500*Microsecond, "stretch", func() {
+			logs[0] = append(logs[0], fmt.Sprintf("r%d stretch %v", r, e0.Now()))
+			if probe {
+				*helperParked = await(func() bool { return parkedIn("newWindowPool.func") }) && (r == 0 || *helperParked)
+			}
+		})
+		if !probe || r != 1 {
+			continue
+		}
+		for s := 1; s < 3; s++ {
+			e := g.Shard(s)
+			e.At(base+700*Microsecond, "meet", func() {
+				met.Add(1)
+				await(func() bool { return met.Load() == 2 })
+				self := make([]byte, 1<<16)
+				if strings.Contains(string(self[:runtime.Stack(self, false)]), "(*windowPool).run(") {
+					return // the coordinator's shard: finish first
+				}
+				*coordParked = await(func() bool { return parkedIn("(*windowPool).run(") })
+			})
+		}
+	}
+	return logs, helperParked, coordParked
+}
+
+// settled waits for the goroutine count to fall back to want, allowing a
+// helper that has signalled its exit a moment to return, and reports the
+// final count. It may end below want when a goroutine left over from an
+// earlier test exits meanwhile.
+func settled(want int) int {
+	await(func() bool { return runtime.NumGoroutine() <= want })
+	return runtime.NumGoroutine()
+}
+
+// TestShardParkingAndHelperLifetime runs windows that alternate with host-
+// time stretches long past the spin budget, so helpers and the coordinator
+// park and are woken again, and checks that the fire logs match the
+// one-worker run exactly. It also checks that Run leaves no helper
+// goroutine behind, whether it ends idle, by Stop, by the wall deadline, or
+// at each of repeated Run(until) calls.
+func TestShardParkingAndHelperLifetime(t *testing.T) {
+	const rounds, lookahead = 4, 10 * Microsecond
+	ref := NewShardGroup(1, 3, 1, lookahead)
+	want, _, _ := parkProgram(ref, rounds, false)
+	ref.RunUntilIdle()
+	parallel := runtime.GOMAXPROCS(0) >= 2
+
+	for _, workers := range []int{2, 4} {
+		g := NewShardGroup(1, 3, workers, lookahead)
+		logs, helperParked, coordParked := parkProgram(g, rounds, parallel)
+		before := runtime.NumGoroutine()
+		g.RunUntilIdle()
+		if n := settled(before); n > before {
+			t.Errorf("workers=%d: %d goroutines after an idle Run, %d before", workers, n, before)
+		}
+		if !reflect.DeepEqual(*logs, *want) {
+			t.Errorf("workers=%d: fire logs %v, want %v", workers, *logs, *want)
+		}
+		if parallel && (!*helperParked || !*coordParked) {
+			t.Errorf("workers=%d: helper parked %v, coordinator parked %v; want both", workers, *helperParked, *coordParked)
+		}
+	}
+
+	t.Run("repeated", func(t *testing.T) {
+		g := NewShardGroup(1, 3, 2, lookahead)
+		logs, _, _ := parkProgram(g, rounds, false)
+		for until := Time(0); g.Pending() > 0; until += 300 * Microsecond {
+			before := runtime.NumGoroutine()
+			g.Run(until)
+			if n := settled(before); n > before {
+				t.Fatalf("%d goroutines after Run(%v), %d before", n, until, before)
+			}
+		}
+		if !reflect.DeepEqual(*logs, *want) {
+			t.Errorf("fire logs %v, want %v", *logs, *want)
+		}
+	})
+
+	t.Run("stop", func(t *testing.T) {
+		g := NewShardGroup(1, 3, 2, lookahead)
+		parkProgram(g, rounds, false)
+		g.Shard(1).At(2*Millisecond+Microsecond, "stop", g.Stop)
+		before := runtime.NumGoroutine()
+		g.RunUntilIdle()
+		if !g.Stopped() || g.Pending() == 0 {
+			t.Fatalf("Stop did not end the run early (stopped %v, %d pending)", g.Stopped(), g.Pending())
+		}
+		if n := settled(before); n > before {
+			t.Errorf("%d goroutines after a stopped Run, %d before", n, before)
+		}
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		g := NewShardGroup(1, 3, 2, lookahead)
+		for s := 0; s < 3; s++ {
+			e, dst := g.Shard(s), g.Shard((s+1)%3)
+			e.Recur(Time(s+1), "chain", func() Time {
+				e.ScheduleOn(dst, e.Now()+lookahead, "send", func() {})
+				return e.Now() + Microsecond
+			})
+		}
+		g.SetWallDeadline(time.Now().Add(20 * time.Millisecond))
+		before := runtime.NumGoroutine()
+		g.RunUntilIdle()
+		if !g.WallDeadlineHit() {
+			t.Fatal("an endless run returned without hitting its wall deadline")
+		}
+		if n := settled(before); n > before {
+			t.Errorf("%d goroutines after a deadline exit, %d before", n, before)
+		}
+	})
 }
