@@ -31,22 +31,27 @@ race-sharded:
 
 # fuzz-smoke runs the fuzz targets briefly. FuzzEngineDifferential:
 # generated event programs (schedules, cancels, reschedules, recurring
-# events, cross-shard sends, stops) must fire identically on the heap, wheel
-# and sharded cores. FuzzWheelMatchesHeap: programs with same-time
-# collisions, in-handler inserts below the wheel frontier and every wheel
-# level must fire in exactly the heap core's order. FuzzShardedSameTime:
-# programs where several shards deliver to one shard at the same time must
-# keep the window barrier's canonical merge order and fire identically at
-# 1, 2 and 4 workers. FuzzParseAdminFile:
-# the co-scheduler's admin-file parser never panics, returns only valid
-# records, and accepts a file iff it accepts each of its lines. Commit any
-# crasher under the package's testdata/fuzz/ so it replays in every plain
-# test run.
+# events, owned events, cross-shard sends and ArmOn hand-offs, stops) must
+# fire identically on the heap, wheel and sharded cores.
+# FuzzWheelMatchesHeap: programs with same-time collisions, in-handler
+# inserts below the wheel frontier, every wheel level and owned events that
+# are armed, re-armed, canceled and rescheduled must fire in exactly the
+# heap core's order, each event once at the time it was armed for.
+# FuzzShardedSameTime: programs where several shards deliver to one shard
+# at the same time must keep the window barrier's canonical merge order and
+# fire identically at 1, 2 and 4 workers. FuzzParseAdminFile: the
+# co-scheduler's admin-file parser never panics, returns only valid
+# records, and accepts a file iff it accepts each of its lines.
+# FuzzOpenCheckpoint: resuming from any checkpoint file (torn tails,
+# foreign fingerprints, duplicate keys, invalid values) never panics,
+# loads only valid entries and is idempotent. Commit any crasher under the
+# package's testdata/fuzz/ so it replays in every plain test run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzShardedSameTime -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzParseAdminFile -fuzztime 10s ./internal/cosched/
+	$(GO) test -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s ./internal/experiment/
 
 # perfbench-smoke runs the benchmark's own smoke test (perfbench is a
 # separate module, so the root test run never sees it): tiny workload

@@ -33,6 +33,13 @@ type cpEntry struct {
 	Stddev float64 `json:"stddev"`
 }
 
+// valid reports whether the entry could have been recorded by a completed
+// run: it names a run, ran at least one process and measured a positive
+// mean with a non-negative spread.
+func (e cpEntry) valid() bool {
+	return e.Key != "" && e.Procs > 0 && e.Mean > 0 && e.Stddev >= 0
+}
+
 // fingerprint digests the option fields that determine run outputs.
 // Parallelism and ShardWorkers are deliberately excluded: outputs are
 // bit-identical at any worker count, so a sweep may resume with a different
@@ -66,10 +73,12 @@ var (
 
 // openCheckpoint returns the checkpoint for path, loading existing entries
 // when resume is set and the file's fingerprint matches fp (otherwise the
-// file is started fresh). Unparsable lines — e.g. a half-written record from
-// a killed process — are skipped, and the file is rewritten with only the
-// valid lines before appending resumes: a torn record with no trailing
-// newline would otherwise corrupt the first entry appended after it.
+// file is started fresh). Lines that do not parse — e.g. a half-written
+// record from a killed process — or parse to an invalid entry are skipped,
+// as is every later line of a key already loaded, so the first record of
+// a run wins. The file is rewritten with only the loaded lines before
+// appending resumes: a torn record with no trailing newline would
+// otherwise corrupt the first entry appended after it.
 func openCheckpoint(path string, resume bool, fp string) (*checkpoint, error) {
 	openCPMu.Lock()
 	defer openCPMu.Unlock()
@@ -85,7 +94,10 @@ func openCheckpoint(path string, resume bool, fp string) (*checkpoint, error) {
 			if len(lines) > 0 && json.Unmarshal([]byte(lines[0]), &hdr) == nil && hdr.Fingerprint == fp {
 				for _, ln := range lines[1:] {
 					var e cpEntry
-					if json.Unmarshal([]byte(ln), &e) != nil || e.Key == "" {
+					if json.Unmarshal([]byte(ln), &e) != nil || !e.valid() {
+						continue
+					}
+					if _, dup := cp.cache[e.Key]; dup {
 						continue
 					}
 					cp.cache[e.Key] = runOut{procs: e.Procs, mean: e.Mean, stddev: e.Stddev}

@@ -163,13 +163,11 @@ func (n *Node) NewThread(name string, prio Priority, homeCPU int) *Thread {
 		lastCPU:  -1,
 		queueIdx: -1,
 	}
-	t.finishFn = func() { n.finishSegment(t) }
-	t.wakeLabel = name + ".wake"
-	t.wakeFn = func() {
-		t.wakeEv = nil
+	t.burst.Bind(name, func() { n.finishSegment(t) })
+	t.wake.Bind(name+".wake", func() {
 		t.burstLeft = 0
 		n.makeReady(t)
-	}
+	})
 	n.nextTID++
 	n.threads = append(n.threads, t)
 	return t
@@ -226,10 +224,10 @@ func (n *Node) stealCPU(c *CPU, cost sim.Time, counter *sim.Time) {
 		return
 	}
 	switch {
-	case c.current != nil && c.current.burstEnd != nil:
+	case c.current != nil && c.current.burst.Pending():
 		*counter += cost
 		c.stolen += cost
-		n.eng.Reschedule(c.current.burstEnd, c.current.burstEnd.When()+cost)
+		n.eng.Reschedule(&c.current.burst, c.current.burst.When()+cost)
 	case c.current != nil && c.current.spinning:
 		// A spinner absorbs the handler time: it was producing nothing.
 		*counter += cost
@@ -391,7 +389,7 @@ func (n *Node) dispatch(c *CPU, t *Thread) {
 	}
 	work := t.burstLeft
 	t.burstLeft = 0
-	t.burstEnd = n.eng.After(overhead+work, t.name, t.finishFn)
+	n.eng.Arm(&t.burst, n.eng.Now()+overhead+work)
 	n.trace(EvDispatch, t, int64(c.idx))
 }
 
@@ -403,7 +401,7 @@ func (t *Thread) beginBurst(d sim.Time) {
 	c := t.cpu
 	c.busySince = n.eng.Now()
 	c.stolenMark = c.stolen
-	t.burstEnd = n.eng.After(d, t.name, t.finishFn)
+	n.eng.Arm(&t.burst, n.eng.Now()+d)
 }
 
 // closeSegment accrues occupancy and productive time for the segment that
@@ -420,7 +418,6 @@ func (n *Node) closeSegment(t *Thread) {
 // finishSegment fires when a running thread's burst completes: close the
 // segment and run the continuation (which must transition).
 func (n *Node) finishSegment(t *Thread) {
-	t.burstEnd = nil
 	n.closeSegment(t)
 	t.runContinuation()
 }
@@ -433,9 +430,8 @@ func (n *Node) releaseCPU(t *Thread) {
 		return
 	}
 	switch {
-	case t.burstEnd != nil: // killed mid-burst
-		n.eng.Cancel(t.burstEnd)
-		t.burstEnd = nil
+	case t.burst.Pending(): // killed mid-burst
+		n.eng.Cancel(&t.burst)
 		n.closeSegment(t)
 	case t.spinning: // killed mid-spin (eventless)
 		n.closeSegment(t)
@@ -452,10 +448,9 @@ func (n *Node) preempt(c *CPU) {
 	t := c.current
 	now := n.eng.Now()
 	remaining := sim.Time(0)
-	if t.burstEnd != nil {
-		remaining = t.burstEnd.When() - now
-		n.eng.Cancel(t.burstEnd)
-		t.burstEnd = nil
+	if t.burst.Pending() {
+		remaining = t.burst.When() - now
+		n.eng.Cancel(&t.burst)
 	}
 	n.closeSegment(t)
 	t.burstLeft = remaining

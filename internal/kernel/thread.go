@@ -75,21 +75,18 @@ type Thread struct {
 	lastCPU int // CPU the thread last ran on, -1 if never ran
 	cpu     *CPU
 
-	burstLeft sim.Time   // remaining work of the current burst when not running
-	burstEnd  *sim.Event // completion event while running
+	burstLeft sim.Time  // remaining work of the current burst when not running
+	burst     sim.Event // completion event, pending while a burst runs
 	cont      func()
 	inCont    bool // a continuation is executing now
 	moved     bool // the executing continuation has made its transition
 	spinning  bool // busy-waiting in SpinWait, burning CPU until Signal
 
-	wakeEv *sim.Event // pending sleep timer
-
-	// finishFn and wakeFn are bound once at creation so the dispatch and
-	// sleep hot paths schedule events without allocating a closure (or a
-	// label) per burst/sleep.
-	finishFn  func()
-	wakeFn    func()
-	wakeLabel string
+	// wake is the sleep timer, pending while the thread sleeps. Both
+	// events are owned records bound once at creation, so the dispatch and
+	// sleep hot paths arm them without leasing a record or allocating a
+	// closure per burst or sleep.
+	wake sim.Event
 
 	// run queue bookkeeping (managed by runQueue)
 	queue    *runQueue
@@ -222,7 +219,7 @@ func (t *Thread) SleepUntil(when sim.Time, then func()) {
 	t.state = StateSleeping
 	n.trace(EvSleep, t, int64(wake)) // trace before release so the CPU is known
 	n.releaseCPU(t)
-	t.wakeEv = n.eng.At(wake, t.wakeLabel, t.wakeFn)
+	n.eng.Arm(&t.wake, wake)
 }
 
 // Block releases the CPU until another component calls Wakeup. then runs
@@ -326,10 +323,7 @@ func (t *Thread) Kill() {
 	case StateExited:
 		return
 	case StateRunning:
-		if t.burstEnd != nil {
-			n.eng.Cancel(t.burstEnd)
-			t.burstEnd = nil
-		}
+		n.eng.Cancel(&t.burst)
 		t.state = StateExited
 		n.trace(EvExit, t, 1)
 		n.releaseCPU(t)
@@ -337,10 +331,7 @@ func (t *Thread) Kill() {
 		t.queue.Remove(t)
 		t.state = StateExited
 	case StateSleeping:
-		if t.wakeEv != nil {
-			n.eng.Cancel(t.wakeEv)
-			t.wakeEv = nil
-		}
+		n.eng.Cancel(&t.wake)
 		t.state = StateExited
 	default:
 		t.state = StateExited

@@ -215,36 +215,43 @@ type Job struct {
 	collAborted  atomic.Int64
 }
 
-// delivery is one in-flight point-to-point message. Its fire continuation is
-// bound once when the record is first allocated; firing returns the record to
-// the receiving rank's pool before delivering. Pools are per rank so that
-// under the sharded core each pool is only ever touched by its owner's shard:
-// leases happen on the sender (who owns the record until it fires) and
-// releases happen on the receiver — so records migrate from sender pools to
-// receiver pools, which is harmless.
+// delivery is one in-flight point-to-point message. It embeds its delivery
+// event, an owned record bound once when the delivery is first allocated;
+// firing returns the record to the receiving rank's pool before
+// delivering. Pools are per rank so that under the sharded core each pool
+// is only ever touched by its owner's shard: leases happen on the sender
+// (who owns the record until it fires) and releases happen on the receiver
+// — so records migrate from sender pools to receiver pools, which is
+// harmless. The event is never canceled or rescheduled, so it may be armed
+// on whichever shard sends it next.
 type delivery struct {
+	ev     sim.Event
 	target *Rank
 	key    msgKey
 	msg    message
-	fire   func()
+	vec    []float64 // vector payload (see sendVec), nil for a scalar
 }
 
-// newDelivery leases a delivery record from r's pool for a message to target.
-func (r *Rank) newDelivery(target *Rank, key msgKey, msg message) *delivery {
+// newDelivery leases a delivery record from r's pool for a message to
+// target.
+func (r *Rank) newDelivery(target *Rank, key msgKey, msg message, vec []float64) *delivery {
 	var d *delivery
 	if n := len(r.deliveryPool); n > 0 {
 		d = r.deliveryPool[n-1]
 		r.deliveryPool = r.deliveryPool[:n-1]
 	} else {
 		d = &delivery{}
-		d.fire = func() {
-			target, key, msg := d.target, d.key, d.msg
-			d.target = nil
+		d.ev.Bind("msg", func() {
+			target, key, msg, vec := d.target, d.key, d.msg, d.vec
+			d.target, d.vec = nil, nil
 			target.deliveryPool = append(target.deliveryPool, d)
+			if vec != nil {
+				target.vecPending = append(target.vecPending, vecArrival{key: key, vec: vec})
+			}
 			target.deliver(key, msg)
-		}
+		})
 	}
-	d.target, d.key, d.msg = target, key, msg
+	d.target, d.key, d.msg, d.vec = target, key, msg, vec
 	return d
 }
 

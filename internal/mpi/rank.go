@@ -130,12 +130,8 @@ func (r *Rank) bindHotPaths() {
 		r.sendThen = nil
 		r.p2pSends++
 		target := &r.job.ranks[dst]
-		d := r.newDelivery(target, msgKey{src: r.id, tag: tag}, msg)
-		if r.job.faults == nil {
-			r.job.fabric.Send(r.node.ID(), target.node.ID(), msg.bytes, d.fire)
-		} else {
-			r.trySend(target, msg.bytes, r.p2pSends-1, d.fire)
-		}
+		d := r.newDelivery(target, msgKey{src: r.id, tag: tag}, msg, nil)
+		r.post(target, msg.bytes, &d.ev)
 		then()
 	}
 	r.srRecvStep = func() {
@@ -146,20 +142,28 @@ func (r *Rank) bindHotPaths() {
 	r.failAbort = func() { r.fail(false) }
 }
 
-// trySend pushes one logical message (identity idx) through the fault
-// model: a dropped attempt is retried after an exponentially backed-off
-// timeout up to Config.SendRetries times; exhausting the budget (or any
-// drop when the budget is zero) is a fatal loss that aborts the whole job
-// after the detection latency. Only called when a fault model is installed.
-func (r *Rank) trySend(target *Rank, bytes int, idx uint64, deliver func()) {
-	r.sendAttempt(target, bytes, idx, 0, deliver)
+// post sends a bytes-sized message to target through the fabric; its
+// arrival fires deliver, the message's delivery event. With a fault model
+// installed the message (identity p2pSends-1) runs sendAttempt's
+// retransmit chain instead.
+func (r *Rank) post(target *Rank, bytes int, deliver *sim.Event) {
+	if r.job.faults == nil {
+		r.job.fabric.Send(r.node.ID(), target.node.ID(), bytes, deliver)
+		return
+	}
+	r.sendAttempt(target, bytes, r.p2pSends-1, 0, deliver)
 }
 
-// sendAttempt is one attempt of the retransmit chain. The attempt number
-// rides the recursion as a parameter rather than a closure-mutable counter.
-// Each retransmit allocates one small continuation, which is fine — this
-// path runs only under fault injection, and only for dropped attempts.
-func (r *Rank) sendAttempt(target *Rank, bytes int, idx, attempt uint64, deliver func()) {
+// sendAttempt is one attempt of the retransmit chain of one logical message
+// (identity idx) under the fault model: a dropped attempt is retried after
+// an exponentially backed-off timeout up to Config.SendRetries times;
+// exhausting the budget (or any drop when the budget is zero) is a fatal
+// loss that aborts the whole job after the detection latency. The attempt
+// number rides the recursion as a parameter rather than a closure-mutable
+// counter. Each retransmit allocates one small continuation, which is fine
+// — this path runs only under fault injection, and only for dropped
+// attempts.
+func (r *Rank) sendAttempt(target *Rank, bytes int, idx, attempt uint64, deliver *sim.Event) {
 	j := r.job
 	eng := r.node.Engine()
 	if r.failed {

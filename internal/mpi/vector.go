@@ -35,16 +35,8 @@ func (r *Rank) sendVec(dst, tag int, vec []float64, then func()) {
 	r.thread.Run(r.job.cfg.SendOverhead, func() {
 		r.p2pSends++
 		target := &r.job.ranks[dst]
-		key := msgKey{src: r.id, tag: tag}
-		deliver := func() {
-			target.vecPending = append(target.vecPending, vecArrival{key: key, vec: payload})
-			target.deliver(key, message{bytes: bytes})
-		}
-		if r.job.faults == nil {
-			r.job.fabric.Send(r.node.ID(), target.node.ID(), bytes, deliver)
-		} else {
-			r.trySend(target, bytes, r.p2pSends-1, deliver)
-		}
+		d := r.newDelivery(target, msgKey{src: r.id, tag: tag}, message{bytes: bytes}, payload)
+		r.post(target, bytes, &d.ev)
 		then()
 	})
 }

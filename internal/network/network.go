@@ -211,12 +211,13 @@ func (f *Fabric) DeliveryTime(srcNode, dstNode, size int) sim.Time {
 	return f.engineFor(srcNode).Now() + lat
 }
 
-// Send schedules deliver to run when a size-byte message from srcNode
-// reaches dstNode. In sharded mode a cross-node delivery is staged into the
-// destination shard's next-window inbox; the delivery time is at least
-// Lookahead past the source clock, which is exactly the shard group's
-// conservative guarantee.
-func (f *Fabric) Send(srcNode, dstNode, size int, deliver func()) {
+// Send arms deliver, an owned event (see sim.Event.Bind) that is not
+// pending, to fire when a size-byte message from srcNode reaches dstNode.
+// In sharded mode a cross-node delivery is staged into the destination
+// shard's next-window inbox; the delivery time is at least Lookahead past
+// the source clock, which is exactly the shard group's conservative
+// guarantee.
+func (f *Fabric) Send(srcNode, dstNode, size int, deliver *sim.Event) {
 	if deliver == nil {
 		panic("network: Send with nil deliver")
 	}
@@ -238,7 +239,7 @@ func (f *Fabric) Send(srcNode, dstNode, size int, deliver func()) {
 	if f.cfg.Jitter > 0 && srcNode != dstNode {
 		f.bumpPair(srcNode, dstNode)
 	}
-	src.ScheduleOn(dst, when, "msg", deliver)
+	src.ArmOn(dst, when, deliver)
 }
 
 // Drop records a message lost to an injected fault before it could be sent.

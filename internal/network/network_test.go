@@ -17,12 +17,20 @@ func testFabric(t *testing.T, cfg Config) (*sim.Engine, *Fabric) {
 	return eng, f
 }
 
+// onArrival binds a fresh delivery event running fn, as a message-passing layer
+// would for each in-flight message.
+func onArrival(fn func()) *sim.Event {
+	ev := new(sim.Event)
+	ev.Bind("msg", fn)
+	return ev
+}
+
 func TestSendLatencyExact(t *testing.T) {
 	cfg := Config{Latency: 9 * sim.Microsecond, LocalLatency: 2 * sim.Microsecond}
 	eng, f := testFabric(t, cfg)
 	var remote, local sim.Time
-	f.Send(0, 1, 0, func() { remote = eng.Now() })
-	f.Send(2, 2, 0, func() { local = eng.Now() })
+	f.Send(0, 1, 0, onArrival(func() { remote = eng.Now() }))
+	f.Send(2, 2, 0, onArrival(func() { local = eng.Now() }))
 	eng.RunUntilIdle()
 	if remote != 9*sim.Microsecond {
 		t.Errorf("remote delivery at %v, want 9us", remote)
@@ -36,7 +44,7 @@ func TestSendBandwidthTerm(t *testing.T) {
 	cfg := Config{Latency: 10 * sim.Microsecond, BytesPerSecond: 1e6} // 1 MB/s
 	eng, f := testFabric(t, cfg)
 	var at sim.Time
-	f.Send(0, 1, 1000, func() { at = eng.Now() }) // 1000B at 1MB/s = 1ms
+	f.Send(0, 1, 1000, onArrival(func() { at = eng.Now() })) // 1000B at 1MB/s = 1ms
 	eng.RunUntilIdle()
 	want := 10*sim.Microsecond + sim.Millisecond
 	if at != want {
@@ -48,7 +56,7 @@ func TestSendZeroBandwidthMeansInfinite(t *testing.T) {
 	cfg := Config{Latency: 5 * sim.Microsecond}
 	eng, f := testFabric(t, cfg)
 	var at sim.Time
-	f.Send(0, 1, 1<<30, func() { at = eng.Now() })
+	f.Send(0, 1, 1<<30, onArrival(func() { at = eng.Now() }))
 	eng.RunUntilIdle()
 	if at != 5*sim.Microsecond {
 		t.Fatalf("delivery at %v, want latency only", at)
@@ -60,7 +68,7 @@ func TestJitterBounds(t *testing.T) {
 	eng, f := testFabric(t, cfg)
 	var times []sim.Time
 	for i := 0; i < 200; i++ {
-		f.Send(0, 1, 0, func() { times = append(times, eng.Now()) })
+		f.Send(0, 1, 0, onArrival(func() { times = append(times, eng.Now()) }))
 	}
 	eng.RunUntilIdle()
 	seenNonBase := false
@@ -81,20 +89,20 @@ func TestLocalMessagesSkipJitter(t *testing.T) {
 	cfg := Config{LocalLatency: 2 * sim.Microsecond, Jitter: 50 * sim.Microsecond}
 	eng, f := testFabric(t, cfg)
 	for i := 0; i < 50; i++ {
-		f.Send(3, 3, 0, func() {
+		f.Send(3, 3, 0, onArrival(func() {
 			if eng.Now()%(2*sim.Microsecond) != 0 {
 				t.Errorf("local delivery jittered: %v", eng.Now())
 			}
-		})
+		}))
 	}
 	eng.RunUntilIdle()
 }
 
 func TestStatsCounters(t *testing.T) {
 	eng, f := testFabric(t, DefaultConfig())
-	f.Send(0, 1, 8, func() {})
-	f.Send(1, 1, 16, func() {})
-	f.Send(1, 0, 8, func() {})
+	f.Send(0, 1, 8, onArrival(func() {}))
+	f.Send(1, 1, 16, onArrival(func() {}))
+	f.Send(1, 0, 8, onArrival(func() {}))
 	eng.RunUntilIdle()
 	s := f.Stats()
 	if s.Messages != 3 || s.Bytes != 32 || s.LocalMessages != 1 {
@@ -132,12 +140,12 @@ func TestDeliveryMonotoneProperty(t *testing.T) {
 		for _, sz := range sizes {
 			sz := int(sz)
 			sent := eng.Now()
-			fab.Send(0, 1, sz, func() {
+			fab.Send(0, 1, sz, onArrival(func() {
 				delivered++
 				if eng.Now() < sent+3*sim.Microsecond {
 					ok = false
 				}
-			})
+			}))
 		}
 		eng.RunUntilIdle()
 		return ok && delivered == len(sizes) && fab.Stats().Messages == uint64(len(sizes))
@@ -189,7 +197,7 @@ func TestDeliveryTimeMatchesSend(t *testing.T) {
 				t.Fatalf("cfg %d msg %d: repeated DeliveryTime %v != %v", i, k, again, predicted)
 			}
 			var actual sim.Time
-			f.Send(0, 1, 1000, func() { actual = eng.Now() })
+			f.Send(0, 1, 1000, onArrival(func() { actual = eng.Now() }))
 			eng.RunUntilIdle()
 			if predicted != actual {
 				t.Fatalf("cfg %d msg %d: DeliveryTime %v != actual %v", i, k, predicted, actual)
@@ -223,7 +231,7 @@ func TestJitterReplayFromIdentity(t *testing.T) {
 		counts[pair]++
 		k := len(got)
 		got = append(got, m)
-		f.Send(src, dst, 0, func() { got[k].at = eng.Now() })
+		f.Send(src, dst, 0, onArrival(func() { got[k].at = eng.Now() }))
 	}
 	eng.RunUntilIdle()
 	for _, m := range got {
@@ -246,9 +254,9 @@ func TestJitterOrderIndependent(t *testing.T) {
 		f := MustFabric(eng, cfg)
 		var times []sim.Time
 		for i := 0; i < 30; i++ {
-			f.Send(0, 1, 0, func() { times = append(times, eng.Now()) })
+			f.Send(0, 1, 0, onArrival(func() { times = append(times, eng.Now()) }))
 			if interleave {
-				f.Send(2, 3, 0, func() {})
+				f.Send(2, 3, 0, onArrival(func() {}))
 			}
 		}
 		eng.RunUntilIdle()

@@ -5,29 +5,58 @@ import (
 	"time"
 )
 
-// Event is a scheduled callback. Events are created through Engine.At,
-// Engine.After or Engine.Recur and may be canceled before they fire. The
-// zero Event is not usable.
+// Event is a scheduled callback. An Event record is either pooled or owned.
 //
-// Ownership discipline: the engine recycles Event records aggressively —
-// a fired event's *Event may be reused by the next schedule, and Cancel
-// returns the record to the pool immediately. Do not retain, re-read or
-// re-Cancel an event pointer after its callback has run or after you
-// canceled it. Canceling a pending event you scheduled is always safe.
+// Pooled records are what Engine.At, Engine.After and Engine.Recur return.
+// The engine recycles them aggressively: a fired event's *Event may be
+// reused by the next schedule, and Cancel returns the record to the pool
+// immediately. Do not retain, re-read or re-Cancel a pooled event pointer
+// after its callback has run or after you canceled it. Canceling a pending
+// event you scheduled is always safe.
+//
+// Owned records are embedded in the model object they belong to (a kernel
+// thread's burst end, an in-flight MPI message) and are never pooled. Bind
+// gives one its label and callback once; Engine.Arm schedules it, and it
+// may be armed again whenever it is not pending — from its own callback,
+// after Cancel, or much later. Cancel, Reschedule, When and Pending work on
+// owned records exactly as on pooled ones, and the record stays valid for
+// its owner's lifetime.
 type Event struct {
 	fn    func()
 	recur func() Time
 
-	// gen is the event's lease generation. Queue entries are stamped with
-	// the generation current when they were inserted; cancellation and
-	// rescheduling are lazy (O(1)) — they bump gen, and stale entries are
-	// recognized and dropped when the queue reaches them.
-	gen      uint64
-	pending  bool // scheduled and not yet fired or canceled
-	canceled bool
+	// seq is the sequence number of the event's current queue entry. An
+	// entry is live iff the event is pending and the entry carries the
+	// event's seq: cancellation (pending goes false) and rescheduling or
+	// re-arming (a fresh seq) are O(1), and the stale entries they leave
+	// behind are dropped when the queue reaches them.
+	seq      uint64
 	when     Time
 	label    string // optional, for debugging
+	pending  bool   // scheduled and not yet fired or canceled
+	canceled bool
+	kind     eventKind
 }
+
+// eventKind says where an Event record comes from and where it goes after
+// firing or Cancel.
+type eventKind uint8
+
+const (
+	// pooled records are leased by At and Recur from the engine's pool and
+	// return to it.
+	pooled eventKind = iota
+	// staged records carry a ScheduleOn callback to another engine. They
+	// come from the sending engine's staging pool and return to the firing
+	// engine's. ScheduleOn never hands them out, so they are never
+	// canceled or rescheduled and no queue holds a stale entry for one:
+	// moving them between shards is safe. A pooled record may still have
+	// a stale entry in its engine's queue, which another shard's worker
+	// would race with, so pooled records never move.
+	staged
+	// owned records are embedded in their owner (Bind) and never pooled.
+	owned
+)
 
 // When reports the time the event is scheduled to fire.
 func (e *Event) When() Time { return e.when }
@@ -35,22 +64,37 @@ func (e *Event) When() Time { return e.when }
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
+// Pending reports whether the event is scheduled and has neither fired nor
+// been canceled since.
+func (e *Event) Pending() bool { return e.pending }
+
 // Label returns the debug label given at scheduling time (may be empty).
 func (e *Event) Label() string { return e.label }
+
+// Bind makes e an owned event record that runs fn each time it fires. Bind
+// it once, before its first Arm, with the record embedded in (or otherwise
+// held by) its owner; the engine never pools it.
+func (e *Event) Bind(label string, fn func()) {
+	if fn == nil {
+		panic("sim: Bind with nil fn")
+	}
+	if e.pending {
+		panic(fmt.Sprintf("sim: Bind of pending event %q", e.label))
+	}
+	e.fn, e.label, e.kind = fn, label, owned
+}
 
 // RecurStop is returned by a recurring event's callback to end the series.
 const RecurStop Time = -1
 
-// entry is one queue cell: comparisons touch only this contiguous struct,
-// never the *Event, which keeps the hot ordering loops cache-friendly. An
-// entry is live while its generation matches the event's current lease;
-// canceled or rescheduled leases leave stale entries behind that are
-// skipped when encountered.
+// entry is one heap cell: the CoreHeap queue and the wheel's late and
+// overflow heaps. Comparisons touch only this contiguous struct, never the
+// *Event, which keeps the sift loops cache-friendly. The wheel's slot cells
+// drop when (see wheel.go): a live cell's time is its event's.
 type entry struct {
 	when Time
 	seq  uint64
 	ev   *Event
-	gen  uint64
 }
 
 func (a entry) before(b entry) bool {
@@ -60,9 +104,9 @@ func (a entry) before(b entry) bool {
 	return a.seq < b.seq
 }
 
-// live reports whether the entry still represents its event's current lease.
+// live reports whether the entry is its event's current queue entry.
 func (en entry) live() bool {
-	return en.ev.pending && en.gen == en.ev.gen
+	return en.ev.pending && en.ev.seq == en.seq
 }
 
 // entryHeap is a 4-ary min-heap of entries ordered by (when, seq). It does
@@ -150,9 +194,9 @@ const (
 	CoreSharded
 )
 
-// eventPoolCap bounds the free list of recycled Event records. Beyond this
-// the records are left to the garbage collector; the cap only exists to
-// stop a burst of pending events from pinning memory forever.
+// eventPoolCap bounds each free list of recycled Event records. Beyond
+// this the records are left to the garbage collector; the cap only exists
+// to stop a burst of pending events from pinning memory forever.
 const eventPoolCap = 4096
 
 // Engine is the discrete-event simulation core. It is not safe for
@@ -160,14 +204,15 @@ const eventPoolCap = 4096
 // runs are deterministic. Events fire in strict (time, schedule-sequence)
 // order regardless of the selected Core.
 type Engine struct {
-	now       Time
-	seq       uint64
-	fired     uint64
-	scheduled uint64
-	live      int // pending events (excludes lazily-canceled entries)
-	stopped   bool
-	rng       *Source
-	free      []*Event
+	now        Time
+	seq        uint64
+	fired      uint64
+	scheduled  uint64
+	live       int // pending events (excludes lazily-canceled entries)
+	stopped    bool
+	rng        *Source
+	free       []*Event // recycled pooled records
+	stagedFree []*Event // recycled staged records (see eventKind)
 
 	useHeap bool
 	heap    entryHeap // CoreHeap's single queue
@@ -231,45 +276,77 @@ func (e *Engine) CounterRand(name string, ids ...uint64) CounterRand {
 // many keyed streams and want to skip the engine indirection).
 func (e *Engine) Source() *Source { return e.rng }
 
-// lease takes an Event record from the pool (or allocates one) and starts a
-// new generation for it.
-func (e *Engine) lease(t Time, label string) *Event {
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{}
+// pool returns the free list for records of the given kind, or nil for
+// owned records.
+func (e *Engine) pool(kind eventKind) *[]*Event {
+	switch kind {
+	case pooled:
+		return &e.free
+	case staged:
+		return &e.stagedFree
 	}
-	ev.gen++
-	ev.pending = true
-	ev.canceled = false
-	ev.when = t
+	return nil
+}
+
+// lease takes a pooled or staged Event record from its pool, or allocates
+// one.
+func (e *Engine) lease(kind eventKind, label string) *Event {
+	pool := e.pool(kind)
+	var ev *Event
+	if n := len(*pool); n > 0 {
+		ev = (*pool)[n-1]
+		(*pool)[n-1] = nil
+		*pool = (*pool)[:n-1]
+	} else {
+		ev = &Event{kind: kind}
+	}
 	ev.label = label
 	return ev
 }
 
-// recycle returns a no-longer-pending Event record to the pool. Its gen is
-// preserved so stale queue entries keep mismatching.
+// recycle returns a no-longer-pending record to its pool; owned records
+// stay with their owner. Its seq is kept, and with pending false every
+// queue entry that still points at it is stale.
 func (e *Engine) recycle(ev *Event) {
+	pool := e.pool(ev.kind)
+	if pool == nil {
+		return
+	}
 	ev.fn = nil
 	ev.recur = nil
-	if len(e.free) < eventPoolCap {
-		e.free = append(e.free, ev)
+	if len(*pool) < eventPoolCap {
+		*pool = append(*pool, ev)
 	}
 }
 
+// maxSeq bounds sequence numbers: the wheel's run key packs one into the
+// low 54 bits of a uint64 (see runCell).
+const maxSeq = 1 << seqBits
+
 // enqueue inserts a new entry for ev at time t, drawing the next sequence
-// number.
+// number. The entry it replaces, if any, goes stale.
 func (e *Engine) enqueue(ev *Event, t Time) {
-	en := entry{when: t, seq: e.seq, ev: ev, gen: ev.gen}
+	if e.seq >= maxSeq {
+		panic("sim: event sequence numbers exhausted")
+	}
+	ev.seq = e.seq
+	ev.when = t
 	e.seq++
 	if e.useHeap {
-		e.heap.push(en)
+		e.heap.push(entry{when: t, seq: ev.seq, ev: ev})
 	} else {
-		e.wheel.insert(en)
+		e.wheel.insert(t, ev.seq, ev)
 	}
+}
+
+// arm schedules a record that is not pending at time t, which the caller
+// has checked is not before now.
+func (e *Engine) arm(ev *Event, t Time) {
+	ev.pending = true
+	ev.canceled = false
+	e.enqueue(ev, t)
+	e.scheduled++
+	e.live++
 }
 
 // At schedules fn to run at time t. Scheduling in the past (t < Now) panics:
@@ -282,11 +359,9 @@ func (e *Engine) At(t Time, label string, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, e.now))
 	}
-	ev := e.lease(t, label)
+	ev := e.lease(pooled, label)
 	ev.fn = fn
-	e.enqueue(ev, t)
-	e.scheduled++
-	e.live++
+	e.arm(ev, t)
 	return ev
 }
 
@@ -296,6 +371,28 @@ func (e *Engine) After(d Time, label string, fn func()) *Event {
 		panic(fmt.Sprintf("sim: After with negative duration %v", d))
 	}
 	return e.At(e.now+d, label, fn)
+}
+
+// Arm schedules the owned event ev (see Event.Bind) to fire at time t. It
+// draws its sequence number exactly as At does, so arming an owned record
+// orders among same-time events as scheduling a fresh one would. Arm
+// panics if ev is not owned, is already pending, or if t is before now.
+func (e *Engine) Arm(ev *Event, t Time) {
+	e.checkArm(ev, t)
+	e.arm(ev, t)
+}
+
+// checkArm validates arming the owned event ev at t from this engine.
+func (e *Engine) checkArm(ev *Event, t Time) {
+	if ev.kind != owned {
+		panic(fmt.Sprintf("sim: Arm of unbound event %q", ev.label))
+	}
+	if ev.pending {
+		panic(fmt.Sprintf("sim: Arm of pending event %q", ev.label))
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: arming %q at %v before now %v", ev.label, t, e.now))
+	}
 }
 
 // Recur schedules a recurring event: fn runs at first, and its return value
@@ -312,26 +409,24 @@ func (e *Engine) Recur(first Time, label string, fn func() Time) *Event {
 	if first < e.now {
 		panic(fmt.Sprintf("sim: recurring %q at %v before now %v", label, first, e.now))
 	}
-	ev := e.lease(first, label)
+	ev := e.lease(pooled, label)
 	ev.recur = fn
-	e.enqueue(ev, first)
-	e.scheduled++
-	e.live++
+	e.arm(ev, first)
 	return ev
 }
 
-// Cancel removes ev from the queue and recycles the record. Cancellation is
-// lazy — O(1) — and the queue drops the dead entry when it reaches it.
-// Canceling an already-fired or already-canceled event is a no-op, but do
-// not retain pointers for that purpose: a canceled record may be reused by
-// a later schedule.
+// Cancel removes ev from the queue and recycles a pooled record.
+// Cancellation is lazy — O(1) — and the queue drops the dead entry when it
+// reaches it. Canceling an already-fired or already-canceled event is a
+// no-op, but do not retain pooled pointers for that purpose: a canceled
+// record may be reused by a later schedule. An owned record may be armed
+// again right away.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || !ev.pending {
 		return
 	}
 	ev.pending = false
 	ev.canceled = true
-	ev.gen++ // invalidate the queued entry
 	e.live--
 	e.recycle(ev)
 }
@@ -347,22 +442,29 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: rescheduling %q at %v before now %v", ev.label, t, e.now))
 	}
-	ev.gen++ // the old entry goes stale in place
-	ev.when = t
-	e.enqueue(ev, t)
+	e.enqueue(ev, t) // the old entry goes stale in place
 }
 
-// popNext removes and returns the earliest live entry.
-func (e *Engine) popNext() (entry, bool) {
-	if e.useHeap {
-		for len(e.heap) > 0 {
-			if en := e.heap.pop(); en.live() {
-				return en, true
-			}
-		}
-		return entry{}, false
+// popUntil removes and returns the earliest live event if it is due at or
+// before limit, and nil otherwise. It is the one queue probe per fired
+// event.
+func (e *Engine) popUntil(limit Time) *Event {
+	if !e.useHeap {
+		return e.wheel.popUntil(limit)
 	}
-	return e.wheel.popNext()
+	for len(e.heap) > 0 {
+		top := e.heap[0]
+		if !top.live() {
+			e.heap.pop()
+			continue
+		}
+		if top.when > limit {
+			return nil
+		}
+		e.heap.pop()
+		return top.ev
+	}
+	return nil
 }
 
 // peekNext reports the earliest live entry's time without firing it.
@@ -385,15 +487,20 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	en, ok := e.popNext()
-	if !ok {
+	ev := e.popUntil(Forever)
+	if ev == nil {
 		return false
 	}
-	if en.when < e.now {
+	e.fire(ev)
+	return true
+}
+
+// fire runs an event just popped from the queue.
+func (e *Engine) fire(ev *Event) {
+	if ev.when < e.now {
 		panic("sim: event queue time went backwards")
 	}
-	ev := en.ev
-	e.now = en.when
+	e.now = ev.when
 	e.fired++
 	e.live--
 	ev.pending = false
@@ -401,7 +508,7 @@ func (e *Engine) Step() bool {
 		next := ev.recur()
 		if next == RecurStop {
 			e.recycle(ev)
-			return true
+			return
 		}
 		if next <= e.now {
 			// The callback returns the next absolute time, not an interval.
@@ -411,19 +518,15 @@ func (e *Engine) Step() bool {
 		}
 		// Re-arm in place. The sequence number is drawn here, after the
 		// callback, matching the trailing-At idiom this replaces.
-		ev.pending = true
-		ev.when = next
-		e.enqueue(ev, next)
-		e.scheduled++
-		e.live++
-		return true
+		e.arm(ev, next)
+		return
 	}
 	fn := ev.fn
-	// Recycle before running fn: fn must not retain ev (documented), and
-	// recycling first lets fn's own scheduling reuse the record.
+	// Recycle before running fn: fn must not retain a pooled ev
+	// (documented), and recycling first lets fn's own scheduling reuse the
+	// record. An owned record stays bound, and fn may arm it again.
 	e.recycle(ev)
 	fn()
-	return true
 }
 
 // Run executes events until the queue is empty, the engine is stopped, or
@@ -440,11 +543,11 @@ func (e *Engine) Run(until Time) uint64 {
 			e.deadlineHit = true
 			break
 		}
-		when, ok := e.peekNext()
-		if !ok || when > until {
+		ev := e.popUntil(until)
+		if ev == nil {
 			break
 		}
-		e.Step()
+		e.fire(ev)
 	}
 	return e.fired - start
 }
@@ -506,11 +609,11 @@ func (e *Engine) runWindow(end Time) int {
 	e.windowEnd = end
 	n := 0
 	for !e.stopped {
-		when, ok := e.peekNext()
-		if !ok || when >= end {
+		ev := e.popUntil(end - 1)
+		if ev == nil {
 			break
 		}
-		e.Step()
+		e.fire(ev)
 		n++
 	}
 	e.windowEnd = 0
@@ -518,28 +621,57 @@ func (e *Engine) runWindow(end Time) int {
 }
 
 // ScheduleOn schedules fn at time t on dst, which may be a different shard
-// of the same ShardGroup. For a standalone destination or dst == e it is
-// exactly dst.At. Across shards the event is staged in this shard's outbox
-// and merged into dst's queue at the window barrier; t must lie at or past
-// the current window's end (the conservative lookahead guarantee), which
-// holds for anything scheduled at least the group lookahead in the future.
+// of the same ShardGroup. For dst == e it is exactly e.At. Otherwise the
+// callback rides a staged record leased on e and armed on dst as ArmOn
+// arms an owned one.
 func (e *Engine) ScheduleOn(dst *Engine, t Time, label string, fn func()) {
-	if dst == e || e.group == nil || dst.group == nil {
-		dst.At(t, label, fn)
+	if dst == e {
+		e.At(t, label, fn)
+		return
+	}
+	if fn == nil {
+		panic("sim: ScheduleOn with nil fn")
+	}
+	ev := e.lease(staged, label)
+	ev.fn = fn
+	e.stage(dst, t, ev)
+}
+
+// ArmOn arms the owned event ev at time t on dst, which may be a different
+// shard of the same ShardGroup; for dst == e it is exactly e.Arm. An owned
+// record that was canceled or rescheduled may still have a stale entry in
+// the queue of the engine it was armed on, so arm it again only on that
+// engine; a record that has only ever fired may move freely. A record
+// staged for another shard is pending from here on, but only dst may
+// cancel or reschedule it, once the window barrier has armed it there.
+func (e *Engine) ArmOn(dst *Engine, t Time, ev *Event) {
+	e.checkArm(ev, t)
+	e.stage(dst, t, ev)
+}
+
+// stage arms ev at t on dst. For a standalone destination, dst == e, or
+// between windows it arms directly. Across shards inside a window the
+// event is staged in this shard's outbox and armed on dst at the window
+// barrier; t must lie at or past the current window's end (the
+// conservative lookahead guarantee), which holds for anything scheduled at
+// least the group lookahead in the future.
+func (e *Engine) stage(dst *Engine, t Time, ev *Event) {
+	if dst == e || e.group == nil || dst.group == nil || e.windowEnd == 0 {
+		// Between windows (setup, teardown, or the serial coordinator
+		// phase) the destination queue is quiescent: arm directly.
+		if t < dst.now {
+			panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", ev.label, t, dst.now))
+		}
+		dst.arm(ev, t)
 		return
 	}
 	if dst.group != e.group {
 		panic("sim: ScheduleOn across different ShardGroups")
 	}
-	if e.windowEnd == 0 {
-		// Between windows (setup, teardown, or the serial coordinator
-		// phase): the destination queue is quiescent, schedule directly.
-		dst.At(t, label, fn)
-		return
-	}
 	if t < e.windowEnd {
 		panic(fmt.Sprintf("sim: cross-shard %q at %v inside the current window (end %v): below the group lookahead",
-			label, t, e.windowEnd))
+			ev.label, t, e.windowEnd))
 	}
-	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, label: label, fn: fn})
+	ev.pending, ev.canceled = true, false // queued on dst at the barrier
+	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, ev: ev})
 }

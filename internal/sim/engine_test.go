@@ -245,3 +245,34 @@ func BenchmarkEngineChurn1k(b *testing.B) {
 		e.Step()
 	}
 }
+
+// TestArmMisusePanics pins Arm's contract: it panics on an event that is
+// already pending, on one that was never bound, and before now.
+func TestArmMisusePanics(t *testing.T) {
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine(1)
+	var own Event
+	own.Bind("own", func() {})
+	e.Arm(&own, 10)
+	panics("Arm of a pending event", func() { e.Arm(&own, 20) })
+	panics("ArmOn of a pending event", func() { e.ArmOn(e, 20, &own) })
+	panics("Arm of an unbound event", func() { e.Arm(new(Event), 20) })
+	panics("Arm of a pooled event", func() { e.Arm(e.At(30, "pooled", func() {}), 40) })
+
+	e.At(50, "advance", func() {})
+	e.RunUntilIdle()
+	panics("Arm before now", func() { e.Arm(&own, 49) })
+	e.Arm(&own, 50) // at now is fine
+	if !own.Pending() || own.When() != 50 {
+		t.Fatalf("Arm at now: pending=%v when=%v", own.Pending(), own.When())
+	}
+}

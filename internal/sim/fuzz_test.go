@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -79,7 +80,9 @@ func FuzzShardedSameTime(f *testing.F) {
 // exact same-time collisions, schedule sub-slot follow-ons from inside
 // handlers (landing below the frontier, ahead of entries still waiting in
 // the sorted run), cancel and reschedule entries that sit in the run, and
-// arm recurring events.
+// arm recurring events. Owned events ride along: programs bind records and
+// arm them, re-arm them from their own callbacks, cancel and then arm
+// them, and reschedule them across wheel levels.
 func FuzzWheelMatchesHeap(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
@@ -91,8 +94,11 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 		if len(prog) > 4096 {
 			prog = prog[:4096]
 		}
-		heap := runWheelProg(CoreHeap, prog)
-		wheel := runWheelProg(CoreWheel, prog)
+		heap, hbad := runWheelProg(CoreHeap, prog)
+		wheel, wbad := runWheelProg(CoreWheel, prog)
+		if hbad != "" || wbad != "" {
+			t.Fatalf("contract broken: heap %q, wheel %q", hbad, wbad)
+		}
 		if len(heap) != len(wheel) {
 			t.Fatalf("wheel fired %d events, heap fired %d", len(wheel), len(heap))
 		}
@@ -112,28 +118,54 @@ type progFire struct {
 
 // wheelProg interprets a byte string as an event program. Every decision
 // reads the next program byte, and bytes are consumed in firing order, so
-// two cores that fire identically consume the program identically.
+// two cores that fire identically consume the program identically. The
+// program also checks the engine contract on its own, which a fault both
+// cores share would pass the comparison with: every event fires once, at
+// the time it was last armed for, and At never returns an owned record.
 type wheelProg struct {
-	e    *Engine
-	prog []byte
-	pc   int
-	ids  int
-	pend []progEvent // pending events, in scheduling order
-	log  []progFire
+	e     *Engine
+	prog  []byte
+	pc    int
+	ids   int
+	pend  []progEvent // pending events, in scheduling order
+	owned []*progOwned
+	log   []progFire
+	bad   string // the first contract violation seen
 }
 
 type progEvent struct {
-	id int
-	ev *Event
+	id   int
+	ev   *Event
+	when Time // the time it was last armed for
 }
 
-func runWheelProg(core Core, prog []byte) []progFire {
+// progOwned is an owned record of a program; id names its current arming.
+type progOwned struct {
+	ev Event
+	id int
+}
+
+// maxProgOwned bounds how many owned records a program binds.
+const maxProgOwned = 8
+
+// runWheelProg runs prog on core and returns its fire log and the first
+// contract violation, if any.
+func runWheelProg(core Core, prog []byte) ([]progFire, string) {
 	p := &wheelProg{e: NewEngineWithCore(1, core), prog: prog}
 	for n := 0; n < 16 && !p.done(); n++ {
 		p.op()
 	}
 	p.e.RunUntilIdle()
-	return p.log
+	if len(p.pend) > 0 || p.e.Pending() > 0 {
+		p.fail(fmt.Sprintf("%d events (engine: %d) never fired", len(p.pend), p.e.Pending()))
+	}
+	return p.log, p.bad
+}
+
+func (p *wheelProg) fail(msg string) {
+	if p.bad == "" {
+		p.bad = msg
+	}
 }
 
 func (p *wheelProg) done() bool { return p.pc >= len(p.prog) }
@@ -175,7 +207,7 @@ func (p *wheelProg) when() Time {
 	now := p.e.Now()
 	switch b := p.next(); {
 	case b < 32 && len(p.pend) > 0:
-		return p.pend[int(b)%len(p.pend)].ev.When()
+		return p.pend[int(b)%len(p.pend)].when
 	case b < 40:
 		return Forever - 1
 	default:
@@ -198,7 +230,7 @@ func (p *wheelProg) target() int {
 	}
 	best := 0
 	for i, pe := range p.pend {
-		if pe.ev.When() < p.pend[best].ev.When() {
+		if pe.when < p.pend[best].when {
 			best = i
 		}
 	}
@@ -218,7 +250,7 @@ func (p *wheelProg) dropID(id int) {
 
 // op executes one program operation.
 func (p *wheelProg) op() {
-	switch p.next() % 6 {
+	switch p.next() % 8 {
 	case 0, 1:
 		p.schedule(p.when())
 	case 2: // a burst of same-time events
@@ -228,21 +260,88 @@ func (p *wheelProg) op() {
 		}
 	case 3:
 		if i := p.target(); i >= 0 {
-			p.e.Cancel(p.pend[i].ev)
+			ev := p.pend[i].ev
+			p.e.Cancel(ev)
 			p.drop(i)
+			if p.next()&1 == 1 {
+				if o := p.ownerOf(ev); o != nil {
+					p.arm(o, p.when()) // Cancel, then Arm again
+				}
+			}
 		}
 	case 4:
 		if i := p.target(); i >= 0 {
-			p.e.Reschedule(p.pend[i].ev, p.when())
+			t := p.when()
+			p.e.Reschedule(p.pend[i].ev, t)
+			p.pend[i].when = t
 		}
-	default:
+	case 5:
 		p.recur(p.when())
+	default:
+		// Arm an owned record, binding a new one if the pick is past the
+		// last; a pick that is pending is canceled and armed again.
+		b := int(p.next())
+		if b%(len(p.owned)+1) == len(p.owned) && len(p.owned) < maxProgOwned {
+			p.bind()
+		}
+		if len(p.owned) == 0 {
+			return
+		}
+		o := p.owned[b%len(p.owned)]
+		if o.ev.Pending() {
+			p.e.Cancel(&o.ev)
+			p.dropID(o.id)
+		}
+		p.arm(o, p.when())
 	}
 }
 
-// handle logs a firing and runs up to three operations from inside it.
+// bind adds an owned record whose callback runs program operations and
+// then, if the program says so, re-arms the record from inside it.
+func (p *wheelProg) bind() {
+	o := &progOwned{}
+	o.ev.Bind("prog-owned", func() {
+		p.handle(o.id)
+		if p.next()&1 == 1 && !o.ev.Pending() {
+			p.arm(o, p.when())
+		}
+	})
+	p.owned = append(p.owned, o)
+}
+
+// arm arms o at t under a fresh id.
+func (p *wheelProg) arm(o *progOwned, t Time) {
+	o.id = p.ids
+	p.ids++
+	p.e.Arm(&o.ev, t)
+	p.pend = append(p.pend, progEvent{o.id, &o.ev, t})
+}
+
+// ownerOf returns the owned record ev is, or nil for a pooled event.
+func (p *wheelProg) ownerOf(ev *Event) *progOwned {
+	for _, o := range p.owned {
+		if &o.ev == ev {
+			return o
+		}
+	}
+	return nil
+}
+
+// handle retires a firing event, logs it and runs up to three operations
+// from inside it.
 func (p *wheelProg) handle(id int) {
-	p.log = append(p.log, progFire{p.e.Now(), id})
+	now := p.e.Now()
+	p.log = append(p.log, progFire{now, id})
+	i := slices.IndexFunc(p.pend, func(pe progEvent) bool { return pe.id == id })
+	switch {
+	case i < 0:
+		p.fail(fmt.Sprintf("event %d fired at %v while not pending", id, now))
+	case p.pend[i].when != now:
+		p.fail(fmt.Sprintf("event %d fired at %v, armed for %v", id, now, p.pend[i].when))
+	}
+	if i >= 0 {
+		p.drop(i)
+	}
 	for n := p.next() % 4; n > 0 && !p.done(); n-- {
 		p.op()
 	}
@@ -251,11 +350,11 @@ func (p *wheelProg) handle(id int) {
 func (p *wheelProg) schedule(t Time) {
 	id := p.ids
 	p.ids++
-	ev := p.e.At(t, "prog", func() {
-		p.dropID(id)
-		p.handle(id)
-	})
-	p.pend = append(p.pend, progEvent{id, ev})
+	ev := p.e.At(t, "prog", func() { p.handle(id) })
+	if p.ownerOf(ev) != nil {
+		p.fail(fmt.Sprintf("At returned owned record %q", ev.Label()))
+	}
+	p.pend = append(p.pend, progEvent{id, ev, t})
 }
 
 // recur arms a recurring event that fires up to eight times at a fixed
@@ -267,15 +366,14 @@ func (p *wheelProg) recur(first Time) {
 	period := p.delay() + 1
 	var ev *Event
 	ev = p.e.Recur(first, "prog-recur", func() Time {
-		p.dropID(id) // not a valid target while it fires
-		p.handle(id)
+		p.handle(id) // not a valid target while it fires
 		left--
 		now := p.e.Now()
 		if left == 0 || period > Forever-1-now {
 			return RecurStop
 		}
-		p.pend = append(p.pend, progEvent{id, ev})
+		p.pend = append(p.pend, progEvent{id, ev, now + period})
 		return now + period
 	})
-	p.pend = append(p.pend, progEvent{id, ev})
+	p.pend = append(p.pend, progEvent{id, ev, first})
 }

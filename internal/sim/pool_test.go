@@ -152,3 +152,33 @@ func TestHeapOrderingUnderRandomChurn(t *testing.T) {
 		t.Fatal("events fired out of time order under churn")
 	}
 }
+
+// TestOwnedEventNeverPooled: an owned record stays with its owner. Neither
+// firing nor Cancel hands it to the pool, so no later At returns it, and
+// the owner can arm it again with its binding intact.
+func TestOwnedEventNeverPooled(t *testing.T) {
+	for _, core := range []Core{CoreWheel, CoreHeap} {
+		e := NewEngineWithCore(1, core)
+		var own Event
+		fired := 0
+		own.Bind("own", func() { fired++ })
+
+		e.Arm(&own, 10)
+		e.RunUntilIdle() // fires: the fire path must not pool it
+		e.Arm(&own, 20)
+		e.Cancel(&own) // Cancel must not pool it either
+		if own.Pending() || !own.Canceled() {
+			t.Fatalf("core %v: after Cancel pending=%v canceled=%v", core, own.Pending(), own.Canceled())
+		}
+		for i := 0; i < 8; i++ {
+			if ev := e.At(Time(30+i), "pooled", func() {}); ev == &own {
+				t.Fatalf("core %v: At %d returned the owned record", core, i)
+			}
+		}
+		e.Arm(&own, 25)
+		e.RunUntilIdle()
+		if fired != 2 || own.Label() != "own" || own.Pending() {
+			t.Fatalf("core %v: fired %d times (want 2), label %q, pending %v", core, fired, own.Label(), own.Pending())
+		}
+	}
+}

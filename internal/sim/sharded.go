@@ -11,12 +11,11 @@ import (
 )
 
 // crossEntry is one event staged for another shard during a window. Entries
-// accumulate in the source shard's outbox in execution order and are merged
-// into the destination queue at the window barrier.
+// accumulate in the source shard's outbox in execution order and are armed
+// on the destination at the window barrier.
 type crossEntry struct {
-	when  Time
-	label string
-	fn    func()
+	when Time
+	ev   *Event
 }
 
 // GroupStats counts a ShardGroup's window machinery. All fields except
@@ -468,9 +467,7 @@ func (g *ShardGroup) mergeOutboxes() {
 				continue
 			}
 			b = append(b, ob...)
-			for k := range ob {
-				ob[k] = crossEntry{} // release the closure references
-			}
+			clear(ob) // release the event references
 			src.outbox[di] = ob[:0]
 		}
 		if len(b) == 0 {
@@ -479,12 +476,10 @@ func (g *ShardGroup) mergeOutboxes() {
 		}
 		sortByWhen(b)
 		for _, ce := range b {
-			dst.At(ce.when, ce.label, ce.fn)
+			dst.arm(ce.ev, ce.when)
 		}
 		g.stats.CrossShardEvents += uint64(len(b))
-		for k := range b {
-			b[k] = crossEntry{}
-		}
+		clear(b)
 		g.batch = b[:0]
 	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // The differential harness drives an identical randomized workload — local
-// schedules, cross-shard sends, cancels, reschedules, recurring events —
-// through the reference serial cores and through ShardGroups at several
+// schedules, cross-shard sends, cancels, reschedules, recurring events and
+// owned events (local timers that re-arm themselves, and couriers that
+// travel between shards by ArmOn) — through the reference serial cores and through ShardGroups at several
 // worker counts, and asserts identical fire logs.
 //
 // Every decision derives from a hash of the event's identity, never from
@@ -45,6 +46,16 @@ func mix(vs ...uint64) uint64 {
 	return h
 }
 
+// avalanche is splitmix64's finalizer: every output bit depends on every
+// input bit, which mix's few rounds do not give the middle bits.
+func avalanche(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 type fireRec struct {
 	when   Time
 	shard  int
@@ -57,11 +68,24 @@ type fireRec struct {
 // identical whether the shards share one engine or run on a group — and
 // per-shard logs need no locking under parallel execution.
 type diffShard struct {
-	n       int // per-shard slot/id counter
-	ticks   int // recurring-tick counter
-	ids     []int
-	pending map[int]*Event
-	log     []fireRec
+	n        int // per-shard slot/id counter
+	ticks    int // recurring-tick counter
+	ids      []int
+	pending  map[int]*Event
+	timers   map[int]*diffOwned // pending owned timers, by arming id
+	couriers []*diffOwned       // idle couriers this shard holds
+	log      []fireRec
+}
+
+// diffOwned is one owned event record of the harness: a shard's timer, or
+// a courier handed from shard to shard by ArmOn. id names its current
+// arming; at and staged are a courier's destination and send time, written
+// by the sender and read by the destination once the record fires there.
+type diffOwned struct {
+	ev     Event
+	id     int
+	at     int
+	staged Time
 }
 
 type diffHarness struct {
@@ -76,7 +100,7 @@ type diffHarness struct {
 func newDiffHarness(seed uint64, engines []*Engine, stopAtID int, ties bool) *diffHarness {
 	d := &diffHarness{seed: seed, engines: engines, stopAtID: stopAtID, ties: ties}
 	for s := range d.state {
-		d.state[s] = &diffShard{pending: map[int]*Event{}}
+		d.state[s] = &diffShard{pending: map[int]*Event{}, timers: map[int]*diffOwned{}}
 	}
 	return d
 }
@@ -132,6 +156,43 @@ func (d *diffHarness) scheduleCross(src, dst int, q Time, h uint64) {
 	}
 }
 
+// armTimer arms shard's owned timer o at a unique future time as a tracked
+// event under a fresh id.
+func (d *diffHarness) armTimer(shard int, o *diffOwned, q Time, h uint64) {
+	st := d.state[shard]
+	if st.n >= diffCap {
+		return
+	}
+	id, slot := d.alloc(shard)
+	o.id = id
+	d.engines[shard].Arm(&o.ev, (q+1+Time(h%4))*diffU+slot)
+	st.pending[id] = &o.ev
+	st.ids = append(st.ids, id)
+	st.timers[id] = o
+}
+
+// sendCourier hands one of src's idle couriers to dst (possibly src
+// itself) by ArmOn, at a time chosen as scheduleCross chooses one.
+func (d *diffHarness) sendCourier(src, dst int, q Time, h uint64) {
+	st := d.state[src]
+	if len(st.couriers) == 0 || st.n >= diffCap {
+		return
+	}
+	o := st.couriers[len(st.couriers)-1]
+	st.couriers = st.couriers[:len(st.couriers)-1]
+	id, slot := d.alloc(src)
+	when := (q + 2 + Time(h%4)) * diffU
+	if !d.ties {
+		when += slot
+	}
+	e := d.engines[src]
+	o.id, o.at, o.staged = id, dst, 0
+	if dst != src {
+		o.staged = e.Now()
+	}
+	e.ArmOn(d.engines[dst], when, &o.ev)
+}
+
 // fired logs a firing and runs the event's hashed decisions. staged is
 // the origin's send time for a cross-shard event, 0 otherwise.
 func (d *diffHarness) fired(shard, id int, staged Time) {
@@ -164,6 +225,9 @@ func (d *diffHarness) fired(shard, id int, staged Time) {
 		dst := (shard + 1 + int(h>>20)%(diffShards-1)) % diffShards
 		d.scheduleCross(shard, dst, q, h>>24)
 	}
+	if c := avalanche(h); c%3 == 0 {
+		d.sendCourier(shard, int(c>>2%diffShards), q, c>>8)
+	}
 	if (h>>32)%5 == 0 && len(st.ids) > 0 {
 		victim := st.ids[int(h>>36)%len(st.ids)]
 		e.Cancel(st.pending[victim])
@@ -174,6 +238,12 @@ func (d *diffHarness) fired(shard, id int, staged Time) {
 				break
 			}
 		}
+		if o, ok := st.timers[victim]; ok {
+			delete(st.timers, victim)
+			if c := avalanche(h ^ 0xa1); c%2 == 0 {
+				d.armTimer(shard, o, q, c>>1) // Cancel, then Arm again
+			}
+		}
 	} else if (h>>40)%5 == 0 && len(st.ids) > 0 && st.n < diffCap {
 		victim := st.ids[int(h>>44)%len(st.ids)]
 		_, slot := d.alloc(shard)
@@ -181,15 +251,34 @@ func (d *diffHarness) fired(shard, id int, staged Time) {
 	}
 }
 
-// seedWork arms the initial events: three tracked locals plus one recurring
-// tick per shard. The recurring callback re-arms at unique times until its
-// budget runs out, exercising Recur's in-place re-arm inside windows.
+// seedWork arms the initial events: three tracked locals, one recurring
+// tick and one owned timer per shard, and gives each shard an idle
+// courier. The recurring callback re-arms at unique times until its budget
+// runs out, exercising Recur's in-place re-arm inside windows; the timer
+// often re-arms itself from its own callback.
 func (d *diffHarness) seedWork() {
 	for s := 0; s < diffShards; s++ {
 		s := s
 		for i := 0; i < 3; i++ {
 			d.scheduleLocal(s, 0, mix(d.seed, uint64(1000+s*10+i)))
 		}
+		timer := &diffOwned{}
+		timer.ev.Bind("timer", func() {
+			id := timer.id
+			delete(d.state[s].timers, id)
+			d.fired(s, id, 0)
+			if c := avalanche(mix(d.seed, uint64(id))); c%4 != 0 && !timer.ev.Pending() {
+				d.armTimer(s, timer, coarse(d.engines[s].Now()), c>>2)
+			}
+		})
+		d.armTimer(s, timer, 0, mix(d.seed, uint64(2000+s)))
+		courier := &diffOwned{}
+		courier.ev.Bind("courier", func() {
+			at := courier.at
+			d.state[at].couriers = append(d.state[at].couriers, courier)
+			d.fired(at, courier.id, courier.staged)
+		})
+		d.state[s].couriers = append(d.state[s].couriers, courier)
 		id, slot := d.alloc(s)
 		d.engines[s].Recur(diffU+slot, "tick", func() Time {
 			e := d.engines[s]
@@ -236,6 +325,7 @@ func runSerial(seed uint64, core Core, stopAtID int) []fireRec {
 	d := newDiffHarness(seed, engines, stopAtID, false)
 	d.seedWork()
 	e.RunUntilIdle()
+	d.checkDrained(e.Pending())
 	return d.sortedLog()
 }
 
@@ -256,7 +346,26 @@ func runShardedHarness(seed uint64, workers, stopAtID int, ties bool) *diffHarne
 	d := newDiffHarness(seed, engines, stopAtID, ties)
 	d.seedWork()
 	g.RunUntilIdle()
+	d.checkDrained(g.Pending())
 	return d
+}
+
+// checkDrained panics if a run without a stop left events pending: every
+// tracked event and every courier must have fired. It catches engine
+// faults that every core shares, which the log comparison cannot see.
+func (d *diffHarness) checkDrained(enginePending int) {
+	if d.stopAtID >= 0 {
+		return
+	}
+	tracked, couriers := 0, 0
+	for _, st := range d.state {
+		tracked += len(st.pending)
+		couriers += len(st.couriers)
+	}
+	if tracked != 0 || couriers != diffShards || enginePending != 0 {
+		panic(fmt.Sprintf("diff harness: %d tracked events pending, %d of %d couriers idle, engine reports %d pending",
+			tracked, couriers, diffShards, enginePending))
+	}
 }
 
 // checkMergeOrder asserts the barrier's canonical merge order on one shard's

@@ -16,17 +16,28 @@ import "math/bits"
 // make in-bucket ordering a short sort), so runs stay short and late
 // inserts stay rare.
 //
+// Cell layout. Near and far slot cells are 16 bytes, {seq, ev}: a cell is
+// live iff its event is pending with the same seq, and a live cell's time
+// is its event's when, so the time is read at drain or cascade, where the
+// liveness check reads the event anyway. Run cells are 16 bytes too,
+// {key, ev}, with key = (when - runBase)<<seqBits | seq: within one near
+// slot the offset fits the top nearShift bits, so the run sort compares
+// one uint64. The late and overflow heaps keep 24-byte {when, seq, ev}
+// entries, since their times span more than a slot.
+//
 // Invariants:
 //   - frontier is a multiple of the near slot width; every pending entry
 //     with when < frontier is in run[head:] or in late, and every other
 //     pending entry is at or past the frontier.
-//   - run[head:] is sorted by (when, seq). It is only refilled once both
+//   - run[head:] is sorted by key, that is by (when, seq), and holds cells
+//     of the near slot starting at runBase. It is only refilled once both
 //     it and late are empty.
 //   - entries with slot(when) in [frontier's slot, +256) are in near;
 //     entries with farSlot(when) in [frontier's far slot, +256) are in far;
 //     everything later is in overflow.
 //   - near/far slot lists are unordered; nearCount/farCount count their
-//     entries including stale ones, so emptiness checks are exact.
+//     cells including stale ones, so emptiness checks are exact.
+//   - sequence numbers stay below 2^seqBits (Engine.enqueue panics first).
 const (
 	nearShift  = 10 // 2^10 ns = 1.024us per near slot
 	wheelBits  = 8  // 256 slots per level
@@ -36,16 +47,42 @@ const (
 
 	nearSlotWidth = Time(1) << nearShift
 
+	// seqBits is the width of the seq field of a run key; the slot offset
+	// takes the nearShift bits above it.
+	seqBits = 64 - nearShift
+	seqMask = 1<<seqBits - 1
+
 	// slotChunkEntries sizes a slot chunk so the whole struct (16-byte
-	// header + 32-byte entries) fits Go's 512-byte allocation class
+	// header + 16-byte cells) fits Go's 512-byte allocation class
 	// exactly. Narrow slots mean more slots hold entries at once; small
 	// chunks keep that from costing memory.
-	slotChunkEntries = 15
+	slotChunkEntries = 31
 
 	// insertionSortMax is the partition size below which quicksort hands
 	// over to insertion sort; runs up to this length never quicksort.
 	insertionSortMax = 12
 )
+
+// cell is one near or far slot cell; see the cell layout above.
+type cell struct {
+	seq uint64
+	ev  *Event
+}
+
+func (c cell) live() bool {
+	return c.ev.pending && c.ev.seq == c.seq
+}
+
+// runCell is one cell of the drained run; key packs its slot offset and
+// seq (see the cell layout above).
+type runCell struct {
+	key uint64
+	ev  *Event
+}
+
+func (rc runCell) live() bool {
+	return rc.ev.pending && rc.ev.seq == rc.key&seqMask
+}
 
 // slotChunk is one fixed-size block of a slot's entry list. Slot lists are
 // unordered, so chunks only ever append and are drained whole; emptied
@@ -60,7 +97,7 @@ const (
 type slotChunk struct {
 	next *slotChunk
 	n    int
-	ents [slotChunkEntries]entry
+	ents [slotChunkEntries]cell
 }
 
 // slotList is a chunked slot: append at tail, drain whole.
@@ -69,8 +106,9 @@ type slotList struct {
 }
 
 type wheel struct {
-	frontier  Time    // slot-aligned; run and late hold everything below it
-	run       []entry // the drained slot, sorted; run[:head] is consumed
+	frontier  Time      // slot-aligned; run and late hold everything below it
+	runBase   Time      // start of the near slot the run was drained from
+	run       []runCell // the drained slot, sorted; run[:head] is consumed
 	head      int
 	late      entryHeap // inserted below the frontier after the drain
 	near      [wheelSlots]slotList
@@ -83,9 +121,9 @@ type wheel struct {
 	spare     *slotChunk // emptied chunks, shared by every slot of both wheels
 }
 
-// slotPush appends an entry to a slot, extending it with a spare (or new)
+// slotPush appends a cell to a slot, extending it with a spare (or new)
 // chunk when the tail is full.
-func (w *wheel) slotPush(sl *slotList, en entry) {
+func (w *wheel) slotPush(sl *slotList, cl cell) {
 	t := sl.tail
 	if t == nil || t.n == slotChunkEntries {
 		c := w.spare
@@ -103,21 +141,21 @@ func (w *wheel) slotPush(sl *slotList, en entry) {
 		sl.tail = c
 		t = c
 	}
-	t.ents[t.n] = en
+	t.ents[t.n] = cl
 	t.n++
 }
 
-// insert places an entry into the level its time belongs to.
-func (w *wheel) insert(en entry) {
-	t := en.when
+// insert places ev's entry (time t, sequence number seq) into the level
+// its time belongs to.
+func (w *wheel) insert(t Time, seq uint64, ev *Event) {
 	if t < w.frontier {
-		w.late.push(en)
+		w.late.push(entry{when: t, seq: seq, ev: ev})
 		return
 	}
 	slot := t >> nearShift
 	if slot-(w.frontier>>nearShift) < wheelSlots {
 		i := slot & wheelMask
-		w.slotPush(&w.near[i], en)
+		w.slotPush(&w.near[i], cell{seq, ev})
 		w.nearBits[i>>6] |= 1 << (uint(i) & 63)
 		w.nearCount++
 		return
@@ -125,17 +163,17 @@ func (w *wheel) insert(en entry) {
 	fslot := t >> farShift
 	if fslot-(w.frontier>>farShift) < wheelSlots {
 		i := fslot & wheelMask
-		w.slotPush(&w.far[i], en)
+		w.slotPush(&w.far[i], cell{seq, ev})
 		w.farBits[i>>6] |= 1 << (uint(i) & 63)
 		w.farCount++
 		return
 	}
-	w.overflow.push(en)
+	w.overflow.push(entry{when: t, seq: seq, ev: ev})
 }
 
 // freeChunk clears a visited chunk, returns it to the spare list and
 // reports the chunk that followed it. A chunk is released only after its
-// entries have been visited, so a caller may itself pull chunks from the
+// cells have been visited, so a caller may itself pull chunks from the
 // spare list mid-drain (cascadeFar re-inserts into near slots).
 func (w *wheel) freeChunk(c *slotChunk) *slotChunk {
 	next := c.next
@@ -146,9 +184,9 @@ func (w *wheel) freeChunk(c *slotChunk) *slotChunk {
 	return next
 }
 
-// drainNear replaces the consumed run with near slot index i's live
-// entries, sorted. Stale entries are dropped here.
-func (w *wheel) drainNear(i int) {
+// drainNear replaces the consumed run with the live cells of near slot
+// index i, which starts at base, sorted. Stale cells are dropped here.
+func (w *wheel) drainNear(i int, base Time) {
 	w.nearBits[i>>6] &^= 1 << (uint(i) & 63)
 	sl := &w.near[i]
 	c := sl.head
@@ -157,14 +195,14 @@ func (w *wheel) drainNear(i int) {
 	run := w.run[:0]
 	for ; c != nil; c = w.freeChunk(c) {
 		w.nearCount -= c.n
-		for _, en := range c.ents[:c.n] {
-			if en.live() {
-				run = append(run, en)
+		for _, cl := range c.ents[:c.n] {
+			if cl.live() {
+				run = append(run, runCell{uint64(cl.ev.when-base)<<seqBits | cl.seq, cl.ev})
 			}
 		}
 	}
-	sortEntries(run)
-	w.run, w.head = run, 0
+	sortRun(run)
+	w.run, w.head, w.runBase = run, 0, base
 }
 
 // cascadeFar redistributes far slot index i into the near wheel (which, at
@@ -176,37 +214,37 @@ func (w *wheel) cascadeFar(i int) {
 	sl.head, sl.tail = nil, nil
 	for ; c != nil; c = w.freeChunk(c) {
 		w.farCount -= c.n
-		for _, en := range c.ents[:c.n] {
-			if en.live() {
-				w.insert(en)
+		for _, cl := range c.ents[:c.n] {
+			if cl.live() {
+				w.insert(cl.ev.when, cl.seq, cl.ev)
 			}
 		}
 	}
 }
 
-// sortEntries sorts a run by (when, seq). Runs arrive nearly sorted: a
-// slot's entries are appended in scheduling order and most of them share a
-// time, so seq already orders them. It therefore tries insertion sort
-// first, which costs O(n + inversions), and quicksorts only a run that
-// proves far from sorted. Both are specialised to entry on purpose — a
-// generic or closure-based sort pays an indirect call per comparison on the
-// hottest path of the engine.
-func sortEntries(a []entry) {
+// sortRun sorts a run by key, that is by (when, seq). Runs arrive nearly
+// sorted: a slot's cells are appended in scheduling order and most of them
+// share a time, so seq already orders them. It therefore tries insertion
+// sort first, which costs O(n + inversions), and quicksorts only a run
+// that proves far from sorted. Both are specialised to runCell on purpose
+// — a generic or closure-based sort pays an indirect call per comparison
+// on the hottest path of the engine.
+func sortRun(a []runCell) {
 	if !insertionSort(a, 2*len(a)+insertionSortMax*insertionSortMax) {
 		quickSort(a)
 	}
 }
 
-// insertionSort sorts a in place unless that takes more than budget entry
+// insertionSort sorts a in place unless that takes more than budget cell
 // moves; it then stops, leaving a permuted, and reports false.
-func insertionSort(a []entry, budget int) bool {
+func insertionSort(a []runCell, budget int) bool {
 	for i := 1; i < len(a); i++ {
-		if !a[i].before(a[i-1]) {
+		if a[i].key > a[i-1].key {
 			continue // already in place: the common case
 		}
 		x := a[i]
 		j := i
-		for ; j > 0 && x.before(a[j-1]); j-- {
+		for ; j > 0 && x.key < a[j-1].key; j-- {
 			a[j] = a[j-1]
 		}
 		a[j] = x
@@ -218,11 +256,11 @@ func insertionSort(a []entry, budget int) bool {
 }
 
 // quickSort sorts a with a median-of-three pivot, leaving partitions of up
-// to insertionSortMax entries to insertion sort. Keys are unique (seq is),
+// to insertionSortMax cells to insertion sort. Keys are unique (seq is),
 // so no equal-key handling is needed.
-func quickSort(a []entry) {
+func quickSort(a []runCell) {
 	for len(a) > insertionSortMax {
-		p := partitionEntries(a)
+		p := partitionRun(a)
 		// Recurse into the smaller side, loop on the larger: O(log n) stack.
 		if p < len(a)-p {
 			quickSort(a[:p])
@@ -235,28 +273,28 @@ func quickSort(a []entry) {
 	insertionSort(a, insertionSortMax*insertionSortMax)
 }
 
-// partitionEntries partitions a (len > 2) around the median of its first,
-// middle and last entries and returns the pivot's final index.
-func partitionEntries(a []entry) int {
+// partitionRun partitions a (len > 2) around the median of its first,
+// middle and last cells and returns the pivot's final index.
+func partitionRun(a []runCell) int {
 	lo, mid, hi := 0, len(a)/2, len(a)-1
-	if a[mid].before(a[lo]) {
+	if a[mid].key < a[lo].key {
 		a[mid], a[lo] = a[lo], a[mid]
 	}
-	if a[hi].before(a[mid]) {
+	if a[hi].key < a[mid].key {
 		a[hi], a[mid] = a[mid], a[hi]
-		if a[mid].before(a[lo]) {
+		if a[mid].key < a[lo].key {
 			a[mid], a[lo] = a[lo], a[mid]
 		}
 	}
 	// a[lo] <= a[mid] <= a[hi]: park the pivot at hi-1 and partition the
 	// open interval (lo, hi-1); a[lo] and a[hi] act as sentinels.
-	pivot := a[mid]
+	pivot := a[mid].key
 	a[mid], a[hi-1] = a[hi-1], a[mid]
 	i, j := lo, hi-1
 	for {
-		for i++; a[i].before(pivot); i++ {
+		for i++; a[i].key < pivot; i++ {
 		}
-		for j--; pivot.before(a[j]); j-- {
+		for j--; pivot < a[j].key; j-- {
 		}
 		if i >= j {
 			break
@@ -280,7 +318,8 @@ func (w *wheel) drainOverflow() {
 		if uint64(top.when) >= horizon {
 			return
 		}
-		w.insert(w.overflow.pop())
+		w.overflow.pop()
+		w.insert(top.when, top.seq, top.ev)
 	}
 }
 
@@ -337,7 +376,7 @@ func (w *wheel) advance() bool {
 			if j := nextBit(&w.nearBits, i); j < wheelSlots {
 				cur += Time(j - i)
 				w.frontier = (cur + 1) << nearShift
-				w.drainNear(int(cur & wheelMask))
+				w.drainNear(int(cur&wheelMask), cur<<nearShift)
 				continue
 			}
 		}
@@ -352,14 +391,15 @@ func (w *wheel) advance() bool {
 func (w *wheel) front() (late, ok bool) {
 	for {
 		if w.head < len(w.run) {
-			if len(w.late) > 0 && w.late[0].before(w.run[w.head]) {
+			rc := w.run[w.head]
+			if len(w.late) > 0 && w.lateFirst(rc) {
 				if w.late[0].live() {
 					return true, true
 				}
 				w.late.pop()
 				continue
 			}
-			if w.run[w.head].live() {
+			if rc.live() {
 				return false, true
 			}
 			w.head++
@@ -378,27 +418,48 @@ func (w *wheel) front() (late, ok bool) {
 	}
 }
 
-// popNext removes and returns the earliest live entry.
-func (w *wheel) popNext() (entry, bool) {
+// lateFirst reports whether the late heap's top precedes run cell rc in
+// (when, seq) order. Late entries may lie before runBase (a Run that
+// stopped short leaves the frontier ahead of the clock), so the comparison
+// is on full times, not on keys.
+func (w *wheel) lateFirst(rc runCell) bool {
+	l := &w.late[0]
+	when := w.runBase + Time(rc.key>>seqBits)
+	return l.when < when || l.when == when && l.seq < rc.key&seqMask
+}
+
+// next returns the earliest live event and whether it heads the late heap,
+// or nil once the wheel is empty. A live entry's time is its event's when.
+func (w *wheel) next() (ev *Event, late bool) {
 	late, ok := w.front()
 	switch {
 	case !ok:
-		return entry{}, false
+		return nil, false
 	case late:
-		return w.late.pop(), true
+		return w.late[0].ev, true
 	}
-	w.head++
-	return w.run[w.head-1], true
+	return w.run[w.head].ev, false
+}
+
+// popUntil removes and returns the earliest live event if it is due at or
+// before limit, and nil otherwise.
+func (w *wheel) popUntil(limit Time) *Event {
+	ev, late := w.next()
+	if ev == nil || ev.when > limit {
+		return nil
+	}
+	if late {
+		w.late.pop()
+	} else {
+		w.head++
+	}
+	return ev
 }
 
 // peekNext reports the earliest live entry's time without removing it.
 func (w *wheel) peekNext() (Time, bool) {
-	late, ok := w.front()
-	switch {
-	case !ok:
-		return 0, false
-	case late:
-		return w.late[0].when, true
+	if ev, _ := w.next(); ev != nil {
+		return ev.when, true
 	}
-	return w.run[w.head].when, true
+	return 0, false
 }

@@ -128,11 +128,21 @@ func levelOf(w *wheel, ev *Event) string {
 		}
 		return false
 	}
+	runHolds := func(run []runCell) bool {
+		for _, rc := range run {
+			if rc.ev == ev && rc.live() {
+				return true
+			}
+		}
+		return false
+	}
 	slotsHold := func(slots []slotList) bool {
 		for _, sl := range slots {
 			for c := sl.head; c != nil; c = c.next {
-				if holds(c.ents[:c.n]) {
-					return true
+				for _, cl := range c.ents[:c.n] {
+					if cl.ev == ev && cl.live() {
+						return true
+					}
 				}
 			}
 		}
@@ -141,7 +151,7 @@ func levelOf(w *wheel, ev *Event) string {
 	switch {
 	case holds(w.late):
 		return "late"
-	case holds(w.run[w.head:]):
+	case runHolds(w.run[w.head:]):
 		return "run"
 	case slotsHold(w.near[:]):
 		return "near"
@@ -289,40 +299,115 @@ func TestWheelRescheduleAcrossLevels(t *testing.T) {
 	}
 }
 
-// TestSortEntries checks the run sort against sort.Slice on random,
-// sorted, reversed and same-time inputs at lengths on both sides of the
-// insertion-sort cutoff.
-func TestSortEntries(t *testing.T) {
+// runKey packs a run cell key the way drainNear does.
+func runKey(off Time, seq uint64) uint64 { return uint64(off)<<seqBits | seq }
+
+// TestSortRun checks the run sort against sort.Slice on random, sorted,
+// reversed and same-time runs at lengths on both sides of the
+// insertion-sort cutoff. Offsets span a whole near slot, from 0 to
+// nearSlotWidth-1, so the top key bits carry time and the low bits seq.
+func TestSortRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 3, insertionSortMax, insertionSortMax + 1, 40, 333, 2000} {
 		for shape := 0; shape < 4; shape++ {
-			a := make([]entry, n)
+			a := make([]runCell, n)
 			for i := range a {
-				a[i].seq = uint64(i)
+				var off Time
 				switch shape {
 				case 0:
-					a[i].when = Time(rng.Intn(1000))
+					off = Time(rng.Intn(int(nearSlotWidth)))
 				case 1:
-					a[i].when = Time(i)
+					off = Time(i) % nearSlotWidth
 				case 2:
-					a[i].when = Time(n - i)
+					off = Time(n-i) % nearSlotWidth
 				default:
-					a[i].when = 7 // all tied: seq alone orders
+					off = 7 // all tied: seq alone orders
 				}
+				a[i].key = runKey(off, uint64(i))
 			}
 			rng.Shuffle(n, func(i, j int) { a[i], a[j] = a[j], a[i] })
 			if shape == 1 || shape == 2 {
-				sort.Slice(a, func(i, j int) bool { return a[i].seq < a[j].seq })
+				sort.Slice(a, func(i, j int) bool { return a[i].key&seqMask < a[j].key&seqMask })
 			}
-			want := append([]entry(nil), a...)
-			sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
-			sortEntries(a)
+			want := append([]runCell(nil), a...)
+			sort.Slice(want, func(i, j int) bool {
+				oi, oj := want[i].key>>seqBits, want[j].key>>seqBits
+				if oi != oj {
+					return oi < oj
+				}
+				return want[i].key&seqMask < want[j].key&seqMask
+			})
+			sortRun(a)
 			for i := range want {
 				if a[i] != want[i] {
 					t.Fatalf("n=%d shape=%d: position %d = %+v, want %+v", n, shape, i, a[i], want[i])
 				}
 			}
 		}
+	}
+}
+
+// TestRunKeySlotEdges checks the run key at the slot edges: offsets 0 and
+// nearSlotWidth-1 sort by time first, and ties at either edge break by
+// seq, up to the largest seq a key can hold. The wheel must then fire
+// events at those edges in the heap core's order.
+func TestRunKeySlotEdges(t *testing.T) {
+	const top = Time(nearSlotWidth - 1)
+	a := []runCell{
+		{key: runKey(top, 1)},
+		{key: runKey(0, seqMask)},
+		{key: runKey(top, 0)},
+		{key: runKey(0, 3)},
+		{key: runKey(top, seqMask)},
+		{key: runKey(0, 0)},
+	}
+	sortRun(a)
+	want := []uint64{runKey(0, 0), runKey(0, 3), runKey(0, seqMask), runKey(top, 0), runKey(top, 1), runKey(top, seqMask)}
+	for i := range want {
+		if a[i].key != want[i] {
+			t.Fatalf("position %d: offset %d seq %d, want offset %d seq %d",
+				i, a[i].key>>seqBits, a[i].key&seqMask, want[i]>>seqBits, want[i]&seqMask)
+		}
+	}
+
+	fire := func(core Core) []firing {
+		e := NewEngineWithCore(1, core)
+		var log []firing
+		base := 3 * nearSlotWidth
+		for i, off := range []Time{top, 0, top, 0, top / 2, 0, top} {
+			label := strconv.Itoa(i)
+			e.At(base+off, label, func() { log = append(log, firing{e.Now(), label}) })
+		}
+		e.RunUntilIdle()
+		return log
+	}
+	heap, wheel := fire(CoreHeap), fire(CoreWheel)
+	if len(wheel) != 7 {
+		t.Fatalf("wheel fired %d of 7", len(wheel))
+	}
+	for i := range heap {
+		if wheel[i] != heap[i] {
+			t.Fatalf("firing %d: wheel %+v, heap %+v", i, wheel[i], heap[i])
+		}
+	}
+}
+
+// TestSeqExhaustionPanics: the run key holds seqBits of seq, so the engine
+// refuses to draw a sequence number at 2^seqBits instead of wrapping into
+// the time bits.
+func TestSeqExhaustionPanics(t *testing.T) {
+	for _, core := range []Core{CoreWheel, CoreHeap} {
+		e := NewEngineWithCore(1, core)
+		e.seq = maxSeq - 1
+		e.At(5, "last", func() {}) // the largest seq still fits
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("core %v: scheduling with seq 2^%d did not panic", core, seqBits)
+				}
+			}()
+			e.At(6, "overflow", func() {})
+		}()
 	}
 }
 
