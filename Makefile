@@ -80,10 +80,23 @@ huge-smoke:
 # partitions, stalls, supervisor respawns, checkpoint resume), then a small
 # abl-fault sweep through the real CLI on the sharded core. The sweep's
 # rendered bytes are also pinned by TestGoldenHashes, so this target is a
-# smoke test, not the determinism gate.
+# smoke test, not the determinism gate. Last, one checkpoint round trip
+# through the CLI: two experiments write one checkpoint file, a -resume
+# run must replay from it, and both runs must print the same tables once
+# the wall-time lines are dropped. Outputs go to files, not pipes, so
+# every command's exit code counts.
+SMOKE_ARGS = run fig3 t1 -nodes 2 -calls 8 -seeds 1 -procs 2
 fault-smoke:
 	$(GO) test -race -count=1 -run 'Fault|Quarantine|Supervisor|Respawn|Checkpoint|Panic|Deadline' ./internal/...
 	GOMAXPROCS=2 $(GO) run ./cmd/parsim run abl-fault -nodes 4 -calls 24 -seeds 1 -procs 2 -shard-procs 2
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o $$d/parsim ./cmd/parsim && \
+	$$d/parsim $(SMOKE_ARGS) -checkpoint $$d/cp.jsonl > $$d/first && \
+	$$d/parsim $(SMOKE_ARGS) -checkpoint $$d/cp.jsonl -resume -v > $$d/resumed 2> $$d/progress && \
+	grep -q 'checkpoint cached' $$d/progress && \
+	grep -v 'wall)' $$d/first > $$d/first.tables && \
+	grep -v 'wall)' $$d/resumed > $$d/resumed.tables && \
+	cmp $$d/first.tables $$d/resumed.tables && echo 'checkpoint round trip: identical tables'
 
 # profile runs a representative sweep under the CPU and allocation profilers
 # and prints the top CPU consumers. Inspect interactively with

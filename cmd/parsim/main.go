@@ -4,7 +4,9 @@
 // Usage:
 //
 //	parsim list
-//	parsim run <name>... [-full] [-nodes N] [-calls N] [-seeds N] [-seed N] [-procs N] [-csv] [-v]
+//	parsim run <name>... [-full|-huge] [-nodes N] [-calls N] [-seeds N] [-seed N]
+//	           [-procs N] [-shard-procs N] [-checkpoint FILE [-resume]]
+//	           [-run-deadline DUR] [-csv] [-v]
 //	parsim all [flags]
 //
 // Flags and experiment names may be interleaved in any order: `parsim run
@@ -22,7 +24,6 @@ import (
 	"time"
 
 	"coschedsim/internal/experiment"
-	"coschedsim/internal/sim"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	switch os.Args[1] {
 	case "list":
 		for _, r := range experiment.Registry() {
@@ -56,12 +57,11 @@ func run() int {
 		seed := fs.Int64("seed", 1, "base RNG seed")
 		procs := fs.Int("procs", 0, "total worker budget (0 = GOMAXPROCS, 1 = serial)")
 		shardProcs := fs.Int("shard-procs", 0, "workers per single run on the sharded engine core (carved out of -procs; 0/1 = serial engine per run)")
-		core := fs.String("core", "", "engine core per simulation: heap, wheel or sharded (default wheel; outputs are bit-identical across cores)")
 		csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 		verbose := fs.Bool("v", false, "print per-run progress")
 		checkpoint := fs.String("checkpoint", "", "append per-run results to this JSONL file as the sweep progresses")
 		resume := fs.Bool("resume", false, "replay completed runs from the -checkpoint file instead of re-simulating them")
-		runDeadline := fs.Duration("run-deadline", 0, "wall-clock budget per simulation run; over-budget runs are quarantined")
+		runDeadline := fs.Duration("run-deadline", 0, "wall-clock budget per simulation run; an over-budget run is quarantined in a sweep and fails any other experiment")
 		cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 		names, err := parseInterleaved(fs, os.Args[2:])
@@ -110,18 +110,6 @@ func run() int {
 		}
 		if *resume && *checkpoint == "" {
 			fmt.Fprintln(os.Stderr, "parsim: -resume needs -checkpoint FILE to replay from")
-			return 2
-		}
-		var engineCore sim.Core
-		switch *core {
-		case "", "wheel":
-			engineCore = sim.CoreWheel
-		case "heap":
-			engineCore = sim.CoreHeap
-		case "sharded":
-			engineCore = sim.CoreSharded
-		default:
-			fmt.Fprintf(os.Stderr, "parsim: -core %q: pick heap, wheel or sharded\n", *core)
 			return 2
 		}
 		if os.Args[1] == "all" {
@@ -200,12 +188,25 @@ func run() int {
 		opts.BaseSeed = *seed
 		opts.Parallelism = *procs
 		opts.ShardWorkers = *shardProcs
-		opts.Core = engineCore
-		opts.CheckpointPath = *checkpoint
-		opts.Resume = *resume
 		opts.RunDeadline = *runDeadline
 		if *verbose {
 			opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
+		}
+		if *checkpoint != "" {
+			// One handle for every experiment of the invocation, so a later
+			// experiment appends to the file instead of truncating it.
+			cp, err := experiment.OpenCheckpoint(*checkpoint, *resume, opts)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "parsim: %v\n", err)
+				return 1
+			}
+			defer func() {
+				if err := cp.Close(); err != nil && code == 0 {
+					fmt.Fprintf(os.Stderr, "parsim: %v\n", err)
+					code = 1
+				}
+			}()
+			opts.Checkpoint = cp
 		}
 		for _, name := range names {
 			r, _ := experiment.Lookup(name) // validated above
@@ -276,18 +277,17 @@ flags for run/all (may precede or follow experiment names):
                procs/shard-procs, so the total never exceeds -procs.
                0 or 1 runs each simulation on the serial engine. Outputs
                are bit-identical at any setting.
-  -core NAME   engine core per simulation: heap, wheel (default) or
-               sharded (workers default to -shard-procs or GOMAXPROCS).
-               Outputs are bit-identical across cores.
   -csv         CSV output
   -v           progress on stderr (includes per-run pdes window stats
                when -shard-procs is active)
-  -checkpoint FILE   append per-run results to FILE (JSONL) as they finish
+  -checkpoint FILE   append per-run results to FILE (JSONL) as they finish;
+               every experiment named in one invocation shares the file
   -resume      with -checkpoint: replay completed runs from FILE and only
                simulate the missing ones (same sweep options required)
   -run-deadline DUR  wall-clock budget per simulation run (e.g. 90s, 5m);
-               a run over budget is quarantined ("-" in the table) instead
-               of hanging the sweep
+               in a scaling or ablation sweep a run over budget is
+               quarantined ("-" in the table); any other experiment fails
+               (exit 1) rather than print a run cut short
   -cpuprofile FILE   write a pprof CPU profile of the run
   -memprofile FILE   write a pprof allocation profile at exit`)
 }

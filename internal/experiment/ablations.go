@@ -5,7 +5,6 @@ import (
 
 	"coschedsim/internal/cluster"
 	"coschedsim/internal/cosched"
-	"coschedsim/internal/parallel"
 	"coschedsim/internal/sim"
 	"coschedsim/internal/workload"
 )
@@ -265,15 +264,9 @@ func AblationFineGrainHints(o Options) (*Table, error) {
 		{"no-hints", false},
 		{"hints", true},
 	}
-	type hintOut struct {
-		stepsPerSec float64
-		collShare   float64
-		extension   sim.Time
-	}
-	op := o.withSafeProgress()
-	outs, err := parallel.Map(op.workers(), len(scens), func(i int) (hintOut, error) {
-		sc := scens[i]
-		cfg := cluster.Prototype(nodes, 16, op.BaseSeed)
+	jobs := make([]runDesc, len(scens))
+	for i, sc := range scens {
+		cfg := cluster.Prototype(nodes, 16, o.BaseSeed)
 		params := cosched.HintAwareParams()
 		params.Period = sim.Second
 		params.Duty = 0.80
@@ -282,34 +275,38 @@ func AblationFineGrainHints(o Options) (*Table, error) {
 			params.MaxFineGrainExtension = 0
 		}
 		cfg.Cosched = &params
-		cfg.Core = op.Core
-		c, err := cluster.Build(cfg)
-		if err != nil {
-			return hintOut{}, err
-		}
+		jobs[i] = runDesc{Label: "abl-hints/" + sc.tag, Nodes: nodes, Seed: o.BaseSeed, Cfg: cfg}
+	}
+	type hintOut struct {
+		stepsPerSec float64
+		collShare   float64
+		extension   sim.Time
+	}
+	outs, errs := runEach(o, jobs, func(o Options, c *cluster.Cluster, j runDesc) (hintOut, error) {
 		spec := workload.BSPSpec{
 			Steps:             400,
 			ComputeMean:       20 * sim.Millisecond,
 			ComputeJitter:     2 * sim.Millisecond,
 			AllreducesPerStep: 4,
-			FineGrainHints:    sc.hints,
+			// The no-hints run is the one without an extension budget.
+			FineGrainHints: c.Config.Cosched.MaxFineGrainExtension > 0,
 		}
 		res, err := workload.RunBSP(c, spec, 30*sim.Minute)
 		if err != nil {
 			return hintOut{}, err
 		}
 		if !res.Completed {
-			return hintOut{}, fmt.Errorf("experiment abl-hints: %s run did not complete", sc.tag)
+			return hintOut{}, fmt.Errorf("experiment %s: run did not complete", j.Label)
 		}
 		var ext sim.Time
 		for _, n := range c.Nodes {
 			ext += c.Sched.Extensions(n)
 		}
 		steps := float64(spec.Steps) / res.Wall.Seconds()
-		op.progress("abl-hints %s: %.1f steps/s ext=%v", sc.tag, steps, ext)
+		o.progress("%s: %.1f steps/s ext=%v", j.Label, steps, ext)
 		return hintOut{stepsPerSec: steps, collShare: res.CollectiveShare, extension: ext}, nil
 	})
-	if err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	for i, sc := range scens {

@@ -11,7 +11,7 @@ import (
 )
 
 // Sweep checkpointing: every completed run's aggregate result is appended to
-// a JSONL file as it finishes, and a resumed sweep (Options.Resume) replays
+// a JSONL file as it finishes, and a sweep resumed from it replays
 // those entries instead of re-simulating — so an interrupted -huge sweep
 // restarts where it left off. Correctness rests on two facts: every run's
 // seed derives from its sweep coordinates (never from execution order), and
@@ -55,43 +55,35 @@ func cpKey(j runDesc, streamed bool) string {
 	return fmt.Sprintf("%s|%d|%d|%d|%t", j.Label, j.Nodes, j.SeedIdx, j.Seed, streamed)
 }
 
-// checkpoint is an open checkpoint file: a cache of completed entries plus
-// an append handle. Safe for concurrent record/lookup from pool workers.
-type checkpoint struct {
+// Checkpoint is an open checkpoint file: a cache of completed entries plus
+// an append handle. Runners that share a file share one handle, so a later
+// sweep never truncates an earlier sweep's entries. Safe for concurrent
+// record/lookup from pool workers.
+type Checkpoint struct {
+	path  string
+	fp    string // fingerprint of the options the file was opened for
 	mu    sync.Mutex
 	f     *os.File
 	cache map[string]runOut
 }
 
-// openCheckpoints deduplicates opens per path within the process: a runner
-// that fans several runJobs batches into one sweep shares one handle, so a
-// later batch never truncates an earlier batch's entries.
-var (
-	openCPMu sync.Mutex
-	openCPs  = map[string]*checkpoint{}
-)
-
-// openCheckpoint returns the checkpoint for path, loading existing entries
-// when resume is set and the file's fingerprint matches fp (otherwise the
-// file is started fresh). Lines that do not parse — e.g. a half-written
-// record from a killed process — or parse to an invalid entry are skipped,
-// as is every later line of a key already loaded, so the first record of
-// a run wins. The file is rewritten with only the loaded lines before
-// appending resumes: a torn record with no trailing newline would
-// otherwise corrupt the first entry appended after it.
-func openCheckpoint(path string, resume bool, fp string) (*checkpoint, error) {
-	openCPMu.Lock()
-	defer openCPMu.Unlock()
-	if cp, ok := openCPs[path]; ok {
-		return cp, nil
-	}
-	cp := &checkpoint{cache: map[string]runOut{}}
+// OpenCheckpoint opens the checkpoint at path for sweeps run with options
+// o. With resume set and a file whose fingerprint matches o's, existing
+// entries are loaded; otherwise the file is started fresh. Lines that do
+// not parse — e.g. a half-written record from a killed process — or parse
+// to an invalid entry are skipped, as is every later line of a key already
+// loaded, so the first record of a run wins. The file is rewritten with
+// only the loaded lines before appending resumes: a torn record with no
+// trailing newline would otherwise corrupt the first entry appended after
+// it.
+func OpenCheckpoint(path string, resume bool, o Options) (*Checkpoint, error) {
+	cp := &Checkpoint{path: path, fp: o.fingerprint(), cache: map[string]runOut{}}
 	var keep []string
 	if resume {
 		if data, err := os.ReadFile(path); err == nil {
 			lines := strings.Split(string(data), "\n")
 			var hdr cpHeader
-			if len(lines) > 0 && json.Unmarshal([]byte(lines[0]), &hdr) == nil && hdr.Fingerprint == fp {
+			if len(lines) > 0 && json.Unmarshal([]byte(lines[0]), &hdr) == nil && hdr.Fingerprint == cp.fp {
 				for _, ln := range lines[1:] {
 					var e cpEntry
 					if json.Unmarshal([]byte(ln), &e) != nil || !e.valid() {
@@ -111,7 +103,7 @@ func openCheckpoint(path string, resume bool, fp string) (*checkpoint, error) {
 		return nil, fmt.Errorf("experiment: create checkpoint %s: %w", path, err)
 	}
 	w := bufio.NewWriter(f)
-	hdr, _ := json.Marshal(cpHeader{Fingerprint: fp})
+	hdr, _ := json.Marshal(cpHeader{Fingerprint: cp.fp})
 	fmt.Fprintf(w, "%s\n", hdr)
 	for _, ln := range keep {
 		fmt.Fprintf(w, "%s\n", ln)
@@ -121,24 +113,22 @@ func openCheckpoint(path string, resume bool, fp string) (*checkpoint, error) {
 		return nil, fmt.Errorf("experiment: write checkpoint %s: %w", path, err)
 	}
 	cp.f = f
-	openCPs[path] = cp
 	return cp, nil
 }
 
-// resetCheckpointsForTest drops the process-wide open-file registry so a
-// test can simulate a fresh process re-opening (and re-reading) a
-// checkpoint file left behind by a killed sweep.
-func resetCheckpointsForTest() {
-	openCPMu.Lock()
-	defer openCPMu.Unlock()
-	for path, cp := range openCPs {
-		cp.f.Close()
-		delete(openCPs, path)
-	}
+// Close closes the checkpoint file; later records fail.
+func (cp *Checkpoint) Close() error {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return cp.f.Close()
 }
 
-// lookup returns a previously completed run's result.
-func (cp *checkpoint) lookup(key string) (runOut, bool) {
+// lookup returns a previously completed run's result. A nil checkpoint
+// holds nothing.
+func (cp *Checkpoint) lookup(key string) (runOut, bool) {
+	if cp == nil {
+		return runOut{}, false
+	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	r, ok := cp.cache[key]
@@ -146,15 +136,24 @@ func (cp *checkpoint) lookup(key string) (runOut, bool) {
 }
 
 // record appends one completed run, synced so a kill mid-sweep loses at most
-// the entry being written (which resume then skips as unparsable).
-func (cp *checkpoint) record(key string, r runOut) {
+// the entry being written (which resume then skips as unparsable). A nil
+// checkpoint records nothing.
+func (cp *Checkpoint) record(key string, r runOut) error {
+	if cp == nil {
+		return nil
+	}
 	line, err := json.Marshal(cpEntry{Key: key, Procs: r.procs, Mean: r.mean, Stddev: r.stddev})
 	if err != nil {
-		return
+		return fmt.Errorf("experiment: checkpoint %s: %w", cp.path, err)
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.cache[key] = r
-	fmt.Fprintf(cp.f, "%s\n", line)
-	cp.f.Sync()
+	if _, err := fmt.Fprintf(cp.f, "%s\n", line); err != nil {
+		return fmt.Errorf("experiment: checkpoint %s: %w", cp.path, err)
+	}
+	if err := cp.f.Sync(); err != nil {
+		return fmt.Errorf("experiment: checkpoint %s: %w", cp.path, err)
+	}
+	return nil
 }

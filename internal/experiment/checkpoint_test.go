@@ -16,8 +16,8 @@ import (
 // re-opening the rewritten file loads the same entries and leaves the
 // same bytes.
 func FuzzOpenCheckpoint(f *testing.F) {
-	const fp = "0123456789abcdef"
-	hdr := `{"fingerprint":"` + fp + `"}` + "\n"
+	o := detOptions()
+	hdr := `{"fingerprint":"` + o.fingerprint() + `"}` + "\n"
 	good := `{"key":"fig3|1|0|7|false","procs":16,"mean":350.5,"stddev":2}` + "\n"
 	for _, seed := range []string{
 		hdr + good,
@@ -41,11 +41,11 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		}
 		open := func() (map[string]runOut, []byte) {
 			t.Helper()
-			defer resetCheckpointsForTest()
-			cp, err := openCheckpoint(path, true, fp)
+			cp, err := OpenCheckpoint(path, true, o)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer cp.Close()
 			cache := make(map[string]runOut, len(cp.cache))
 			for k, r := range cp.cache {
 				cache[k] = r
@@ -79,11 +79,13 @@ func FuzzOpenCheckpoint(f *testing.F) {
 // entries are dropped from the cache and the rewrite, and a duplicated key
 // keeps its first record in both.
 func TestCheckpointReplayValidates(t *testing.T) {
-	const fp = "fp"
+	t.Parallel()
+	o := detOptions()
+	hdr := `{"fingerprint":"` + o.fingerprint() + `"}`
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	first := `{"key":"k","procs":4,"mean":10,"stddev":1}`
 	data := strings.Join([]string{
-		`{"fingerprint":"fp"}`,
+		hdr,
 		first,
 		`{"key":"k","procs":4,"mean":99,"stddev":1}`,
 		`{"key":"neg","procs":4,"mean":10,"stddev":-1}`,
@@ -94,11 +96,11 @@ func TestCheckpointReplayValidates(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := openCheckpoint(path, true, fp)
+	cp, err := OpenCheckpoint(path, true, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resetCheckpointsForTest()
+	defer cp.Close()
 	want := map[string]runOut{"k": {procs: 4, mean: 10, stddev: 1}}
 	if !reflect.DeepEqual(cp.cache, want) {
 		t.Errorf("cache %v, want %v", cp.cache, want)
@@ -107,7 +109,7 @@ func TestCheckpointReplayValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := string(written), `{"fingerprint":"fp"}`+"\n"+first+"\n"; got != want {
+	if got, want := string(written), hdr+"\n"+first+"\n"; got != want {
 		t.Errorf("rewrite\n%q\nwant\n%q", got, want)
 	}
 }

@@ -55,28 +55,29 @@ type Options struct {
 	// only wall-clock and its distribution across runs change. 0 and 1
 	// keep runs on the serial engine.
 	ShardWorkers int
-	// Core selects every run's engine core (cluster.Config.Core). The zero
-	// value is the timer wheel. Outputs are bit-identical on every core.
-	Core sim.Core
 	// Progress, when non-nil, receives one line per completed run. Under
 	// parallelism > 1 the callback is invoked from worker goroutines but
 	// never concurrently (calls are serialized); line order across runs
 	// is not deterministic, line content is.
 	Progress func(string)
-	// CheckpointPath, when non-empty, appends every completed run's result
-	// to a JSONL file as the sweep progresses. Combined with Resume, a
-	// sweep killed mid-flight restarts from the completed cells instead of
-	// from scratch — replayed cells are bit-identical to re-run ones
+	// Checkpoint, when non-nil, receives every completed aggregate run's
+	// result as the sweep progresses, and runs it already holds are
+	// replayed instead of simulated. A sweep killed mid-flight and resumed
+	// from the same file (OpenCheckpoint with resume) restarts from the
+	// completed cells — replayed cells are bit-identical to re-run ones
 	// because seeds derive from sweep coordinates, not execution order.
-	CheckpointPath string
-	// Resume replays a CheckpointPath file written by a previous attempt of
-	// the same sweep (matching option fingerprint); a mismatched or absent
-	// file is started fresh.
-	Resume bool
+	// A handle opened for options with another fingerprint is refused.
+	Checkpoint *Checkpoint
 	// RunDeadline, when positive, bounds each individual run's wall-clock
-	// time. A run that exceeds it is quarantined (its table cell shows "-")
-	// rather than hanging the whole sweep.
+	// time. In an aggregate sweep a run that exceeds it is quarantined (its
+	// table cell shows "-") rather than hanging the whole sweep; every
+	// other runner fails with the deadline error rather than render a run
+	// cut short.
 	RunDeadline time.Duration
+
+	// build constructs each run's cluster; nil means cluster.Build. Tests
+	// substitute a builder to inject failures or pick an engine core.
+	build func(cluster.Config) (*cluster.Cluster, error)
 }
 
 // Full approximates the paper's sizes (59 nodes / 944 processors at the top
@@ -223,7 +224,7 @@ func measureScaling(o Options, label string, cfgFor func(nodes int, seed int64) 
 			})
 		}
 	}
-	outs, err := runAggregateJobs(o, jobs)
+	outs, err := runJobs(o, jobs, false)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ func mid() Options {
 }
 
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	want := []string{"fig1", "fig3", "fig4", "fig5", "fig6",
 		"t1", "t2", "t3", "t4", "t5",
 		"abl-bigtick", "abl-duty", "abl-ipi", "abl-clock", "abl-ticks",
@@ -48,6 +49,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestOptionsValidate(t *testing.T) {
+	t.Parallel()
 	for _, o := range []Options{{}, {MaxNodes: 1}, {MaxNodes: 1, Calls: 1}} {
 		if _, err := Fig3VanillaScaling(o); err == nil {
 			t.Errorf("accepted options %+v", o)
@@ -59,6 +61,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestCallsForWindow(t *testing.T) {
+	t.Parallel()
 	o := Options{MaxNodes: 4, Calls: 100, Seeds: 1, ComputeGrain: sim.Millisecond, Window: sim.Second}
 	small := o.callsFor(16)
 	big := o.callsFor(1024)
@@ -79,6 +82,7 @@ func TestCallsForWindow(t *testing.T) {
 }
 
 func TestNodeSweep(t *testing.T) {
+	t.Parallel()
 	s := nodeSweep(59)
 	if s[0] != 1 || s[len(s)-1] != 59 {
 		t.Fatalf("sweep(59) = %v", s)
@@ -98,6 +102,7 @@ func TestNodeSweep(t *testing.T) {
 }
 
 func TestTableHelpers(t *testing.T) {
+	t.Parallel()
 	tab := &Table{ID: "X", Title: "test", Cols: []Column{{Name: "a"}, {Name: "b", Unit: "us"}}}
 	tab.AddRow("r1", 1, 2)
 	tab.AddRow("r2", 3, 4)
@@ -127,6 +132,7 @@ func TestTableHelpers(t *testing.T) {
 }
 
 func TestTableAddRowMismatchPanics(t *testing.T) {
+	t.Parallel()
 	tab := &Table{ID: "X", Cols: []Column{{Name: "a"}}}
 	defer func() {
 		if recover() == nil {
@@ -137,6 +143,7 @@ func TestTableAddRowMismatchPanics(t *testing.T) {
 }
 
 func TestFig3Structure(t *testing.T) {
+	t.Parallel()
 	tab, err := Fig3VanillaScaling(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +163,7 @@ func TestFig3Structure(t *testing.T) {
 }
 
 func TestFig5MeansGrowWithScale(t *testing.T) {
+	t.Parallel()
 	tab, err := Fig5PrototypeScaling(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +175,7 @@ func TestFig5MeansGrowWithScale(t *testing.T) {
 }
 
 func TestFig6ShapeAtModerateScale(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-sweep comparison")
 	}
@@ -187,6 +196,7 @@ func TestFig6ShapeAtModerateScale(t *testing.T) {
 }
 
 func TestFig1OverlapShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("two BSP runs")
 	}
@@ -202,6 +212,7 @@ func TestFig1OverlapShape(t *testing.T) {
 }
 
 func TestFig4Structure(t *testing.T) {
+	t.Parallel()
 	o := tiny()
 	o.Calls = 64 // raised to 448 internally
 	tab, err := Fig4OutlierProfile(o)
@@ -220,6 +231,7 @@ func TestFig4Structure(t *testing.T) {
 }
 
 func TestT1Structure(t *testing.T) {
+	t.Parallel()
 	tab, err := T1FifteenPerNode(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +244,7 @@ func TestT1Structure(t *testing.T) {
 }
 
 func TestT2Structure(t *testing.T) {
+	t.Parallel()
 	tab, err := T2PopulatedSpeedup(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +255,7 @@ func TestT2Structure(t *testing.T) {
 }
 
 func TestT4NoiseBand(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("60s noise accounting")
 	}
@@ -260,6 +274,7 @@ func TestT4NoiseBand(t *testing.T) {
 }
 
 func TestT5Structure(t *testing.T) {
+	t.Parallel()
 	tab, err := T5AllreduceFraction(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +291,7 @@ func TestT5Structure(t *testing.T) {
 }
 
 func TestAblationStructures(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("five ablation sweeps")
 	}
@@ -303,6 +319,7 @@ func TestAblationStructures(t *testing.T) {
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
+	t.Parallel()
 	run := func() []float64 {
 		tab, err := Fig3VanillaScaling(tiny())
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"coschedsim/internal/cluster"
 	"coschedsim/internal/fault"
-	"coschedsim/internal/parallel"
 	"coschedsim/internal/sim"
 	"coschedsim/internal/stats"
 	"coschedsim/internal/workload"
@@ -17,16 +16,10 @@ import (
 // cross conservative shard windows; cluster.Validate enforces the bound.
 const faultDetect = 50 * sim.Microsecond
 
-// faultVariant is one (fault pattern, resilience policy) cell of the sweep.
-type faultVariant struct {
-	tag string
-	cfg func(seed int64) cluster.Config
-}
-
 // faultVariants enumerates the ablation: each injected fault class under the
 // policy meant to absorb it, plus the abort-policy control for the same
 // fault so the table shows what the resilience response buys.
-func faultVariants(nodes int) []faultVariant {
+func faultVariants(nodes int) []variantSpec {
 	drop := func(rate float64, retries int) func(int64) cluster.Config {
 		return func(seed int64) cluster.Config {
 			cfg := cluster.Vanilla(nodes, 16, seed)
@@ -53,7 +46,7 @@ func faultVariants(nodes int) []faultVariant {
 			return cfg
 		}
 	}
-	return []faultVariant{
+	return []variantSpec{
 		{"baseline", func(seed int64) cluster.Config {
 			return cluster.Vanilla(nodes, 16, seed)
 		}},
@@ -114,32 +107,9 @@ func AblationFault(o Options) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	o = o.withSafeProgress()
 	nodes := ablationNodes(o)
 	variants := faultVariants(nodes)
-	jobs := make([]runDesc, 0, len(variants)*o.Seeds)
-	for _, v := range variants {
-		for s := 0; s < o.Seeds; s++ {
-			seed := o.BaseSeed + int64(s)
-			jobs = append(jobs, runDesc{
-				Label: "abl-fault/" + v.tag, Nodes: nodes, SeedIdx: s, Seed: seed, Cfg: v.cfg(seed),
-			})
-		}
-	}
-	shard := o.shardWorkers()
-	outs, err := parallel.Map(o.workers(), len(jobs), func(i int) (faultOut, error) {
-		j := jobs[i]
-		j.Cfg.Core = o.Core
-		if shard > 1 {
-			j.Cfg.IntraRunWorkers = shard
-		}
-		c, err := cluster.Build(j.Cfg)
-		if err != nil {
-			return faultOut{}, err
-		}
-		if o.RunDeadline > 0 {
-			c.SetWallDeadline(o.RunDeadline)
-		}
+	outs, errs := runEach(o, variantJobs(o, "abl-fault", nodes, variants), func(o Options, c *cluster.Cluster, j runDesc) (faultOut, error) {
 		spec := workload.AggregateSpec{
 			Loops: 1, CallsPerLoop: o.callsFor(c.Procs()), Compute: o.ComputeGrain,
 		}
@@ -158,7 +128,7 @@ func AblationFault(o Options) (*Table, error) {
 			fo.rep.LostRanks, fo.rep.AbortedRanks, fo.rep.Replans, fo.rep.Restarts)
 		return fo, nil
 	})
-	if err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	t := &Table{

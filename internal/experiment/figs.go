@@ -6,7 +6,6 @@ import (
 
 	"coschedsim/internal/cluster"
 	"coschedsim/internal/kernel"
-	"coschedsim/internal/parallel"
 	"coschedsim/internal/sim"
 	"coschedsim/internal/stats"
 	"coschedsim/internal/trace"
@@ -37,20 +36,17 @@ func Fig1NoiseOverlap(o Options) (*Table, error) {
 		{"random", cluster.Vanilla(1, 8, o.BaseSeed)},
 		{"co-scheduled", cluster.Prototype(1, 8, o.BaseSeed)},
 	}
+	jobs := make([]runDesc, len(scens))
+	for i, sc := range scens {
+		sc.cfg.CPUsPerNode = 8
+		sc.cfg.TasksPerNode = 8
+		sc.cfg.Kernel.NumCPUs = 8
+		jobs[i] = runDesc{Label: "fig1/" + sc.tag, Nodes: 1, Seed: o.BaseSeed, Cfg: sc.cfg}
+	}
 	type fig1Out struct {
 		green, stepsPerSec, noisePct float64
 	}
-	op := o.withSafeProgress()
-	outs, err := parallel.Map(op.workers(), len(scens), func(i int) (fig1Out, error) {
-		cfg := scens[i].cfg
-		cfg.CPUsPerNode = 8
-		cfg.TasksPerNode = 8
-		cfg.Kernel.NumCPUs = 8
-		cfg.Core = op.Core
-		c, err := cluster.Build(cfg)
-		if err != nil {
-			return fig1Out{}, err
-		}
+	outs, errs := runEach(o, jobs, func(o Options, c *cluster.Cluster, j runDesc) (fig1Out, error) {
 		buf := trace.NewBuffer(4 << 20)
 		buf.SkipTicks(true)
 		c.Nodes[0].SetSink(buf)
@@ -65,18 +61,18 @@ func Fig1NoiseOverlap(o Options) (*Table, error) {
 			return fig1Out{}, err
 		}
 		if !res.Completed {
-			return fig1Out{}, fmt.Errorf("experiment fig1: %s run did not complete", scens[i].tag)
+			return fig1Out{}, fmt.Errorf("experiment %s: run did not complete", j.Label)
 		}
 		green := appOverlapFraction(buf.Records(), 0, 8, 0, res.Wall, "rank")
 		noise := c.Noise[0].Measure(res.Wall)
-		op.progress("fig1 %s: green=%.1f%% wall=%v", scens[i].tag, green*100, res.Wall)
+		o.progress("%s: green=%.1f%% wall=%v", j.Label, green*100, res.Wall)
 		return fig1Out{
 			green:       green * 100,
 			stepsPerSec: float64(spec.Steps) / res.Wall.Seconds(),
 			noisePct:    noise.PerCPUFraction * 100,
 		}, nil
 	})
-	if err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	for i, sc := range scens {
@@ -238,17 +234,22 @@ func Fig4OutlierProfile(o Options) (*Table, error) {
 		cronPeriod = 15 * sim.Minute
 	}
 	cfg.Noise.Cron.Period = cronPeriod
-	cfg.Core = o.Core
-	c, err := cluster.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
+	tabs, errs := runEach(o, []runDesc{{Label: "fig4", Nodes: nodes, Seed: o.BaseSeed, Cfg: cfg}},
+		func(o Options, c *cluster.Cluster, _ runDesc) (*Table, error) {
+			return fig4Profile(c, calls, o.ComputeGrain)
+		})
+	return tabs[0], errs[0]
+}
+
+// fig4Profile runs fig4's one vanilla run on c and renders its sorted call
+// times with the slowest call's attribution.
+func fig4Profile(c *cluster.Cluster, calls int, grain sim.Time) (*Table, error) {
 	buf := trace.NewBuffer(8 << 20)
 	buf.SkipTicks(true)
 	buf.FilterNode(0)
 	c.Nodes[0].SetSink(buf)
 
-	res, err := workload.RunAggregate(c, workload.AggregateSpec{Loops: 1, CallsPerLoop: calls, Compute: o.ComputeGrain}, 30*sim.Minute)
+	res, err := workload.RunAggregate(c, workload.AggregateSpec{Loops: 1, CallsPerLoop: calls, Compute: grain}, 30*sim.Minute)
 	if err != nil {
 		return nil, err
 	}

@@ -117,7 +117,7 @@ func HugeScaling(o Options) (*Table, error) {
 			}
 		}
 	}
-	outs, err := runStreamedJobs(o, jobs)
+	outs, err := runJobs(o, jobs, true)
 	if err != nil {
 		return nil, err
 	}

@@ -3,17 +3,15 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"coschedsim/internal/sim"
 )
 
 // TestHugeScalingSmoke runs the huge-tier runner at a reduced node count on
 // the sharded core: the streamed-aggregation path, the paper-range fit and
 // the extrapolation columns must all come out populated and finite.
 func TestHugeScalingSmoke(t *testing.T) {
-	o := Options{MaxNodes: 24, Calls: 4, Seeds: 1,
-		ComputeGrain: 200 * sim.Microsecond, BaseSeed: 1,
-		Parallelism: 2, ShardWorkers: 2}
+	t.Parallel()
+	o := testOptions("huge")
+	o.Parallelism, o.ShardWorkers = 2, 2
 	tab, err := HugeScaling(o)
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +64,7 @@ func TestHugeScalingSmoke(t *testing.T) {
 // TestHugeScalingRejectsTinyRange pins the guard against a MaxNodes too
 // small to anchor the fit.
 func TestHugeScalingRejectsTinyRange(t *testing.T) {
+	t.Parallel()
 	o := Options{MaxNodes: 8, Calls: 4, Seeds: 1, BaseSeed: 1}
 	if _, err := HugeScaling(o); err == nil {
 		t.Fatal("expected an error for a single-point fit range")
@@ -75,6 +74,7 @@ func TestHugeScalingRejectsTinyRange(t *testing.T) {
 // TestHugeNodePlan pins the sweep construction: extended points are max/4,
 // max/2, max, deduplicated and strictly above the paper anchors.
 func TestHugeNodePlan(t *testing.T) {
+	t.Parallel()
 	paper := hugePaperNodes(1024)
 	if want := []int{8, 16, 32, 59}; !equalInts(paper, want) {
 		t.Fatalf("paper nodes = %v, want %v", paper, want)

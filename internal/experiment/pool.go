@@ -33,80 +33,88 @@ type runOut struct {
 	stddev float64
 }
 
-// workers resolves the sweep-level worker count: the total budget
-// (Parallelism, or GOMAXPROCS when unset) divided by whatever each run
-// consumes for intra-run parallelism, so that sweep workers times shard
-// workers never exceeds the budget.
-func (o Options) workers() int {
-	w := parallel.Workers(o.Parallelism)
-	if s := o.shardWorkers(); s > 1 {
-		w /= s
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
-}
-
-// shardWorkers resolves the per-run intra-run worker count, clamped to the
-// total budget; values <= 1 disable sharding.
-func (o Options) shardWorkers() int {
-	s := o.ShardWorkers
-	if budget := parallel.Workers(o.Parallelism); s > budget {
-		s = budget
-	}
-	if s <= 1 {
-		return 0
-	}
-	return s
-}
-
-// withSafeProgress returns a copy of o whose Progress callback is
-// serialized behind a mutex so pool workers may report concurrently.
-// Every line carries its run's label/nodes/seed tags, so interleaved
-// output remains attributable to a run.
-func (o Options) withSafeProgress() Options {
-	if o.Progress == nil {
-		return o
-	}
-	var mu sync.Mutex
-	inner := o.Progress
-	o.Progress = func(line string) {
-		mu.Lock()
-		defer mu.Unlock()
-		inner(line)
-	}
-	return o
-}
-
-// runAggregateJobs executes the paper's aggregate benchmark once per
-// descriptor on o.workers() workers. out[i] corresponds to jobs[i] no
-// matter which worker ran it, so aggregations over the result slice are
-// bit-identical to a serial loop; the first failing job (lowest index)
-// cancels the remaining ones.
-func runAggregateJobs(o Options, jobs []runDesc) ([]runOut, error) {
-	return runJobs(o, jobs, false)
-}
-
-// runStreamedJobs is runAggregateJobs with per-call timings streamed into
-// an online accumulator instead of retained: each run's memory is O(1) in
-// the call count, which is what lets the huge tier sweep 16k-rank clusters.
-// The streamed stddev comes from Welford's update rather than Summarize's
-// two-pass formula, so it is NOT bitwise-comparable to the retained path —
-// only new huge-tier tables use it; every golden path keeps
-// runAggregateJobs.
-func runStreamedJobs(o Options, jobs []runDesc) ([]runOut, error) {
-	return runJobs(o, jobs, true)
-}
-
 // errRunDeadline marks a run cut short by Options.RunDeadline. It is
 // wrapped into the run's error so quarantinable can recognize it.
 var errRunDeadline = errors.New("run wall deadline exceeded")
 
-// buildCluster is cluster.Build, indirected so tests can inject run-level
-// failures (a panicking build for one descriptor) without inventing a real
-// configuration that panics.
-var buildCluster = cluster.Build
+// widths splits the worker budget (Parallelism, or GOMAXPROCS when unset)
+// between the sweep pool and each run: pool runs execute at once, each on
+// width intra-run shard workers (0 = serial engine), and pool*width never
+// exceeds the budget. ShardWorkers above the budget is clamped to it.
+func (o Options) widths() (pool, width int) {
+	budget := parallel.Workers(o.Parallelism)
+	width = min(o.ShardWorkers, budget)
+	if width <= 1 {
+		return budget, 0
+	}
+	return budget / width, width
+}
+
+// runEach is the one way an experiment runs simulations: body runs once per
+// job on a cluster built from the job's config, and out[i], errs[i] belong
+// to jobs[i] whichever worker ran it. runEach sizes the pool and each run's
+// shard workers from the budget, arms RunDeadline (a run cut short fails
+// with errRunDeadline, whatever body returned), reports a sharded run's
+// window statistics, and hands body a copy of o whose Progress callback is
+// serialized across workers. Panics come back as *parallel.PanicError.
+func runEach[T any](o Options, jobs []runDesc, body func(o Options, c *cluster.Cluster, j runDesc) (T, error)) ([]T, []error) {
+	if o.Progress != nil {
+		var mu sync.Mutex
+		inner := o.Progress
+		o.Progress = func(line string) {
+			mu.Lock()
+			defer mu.Unlock()
+			inner(line)
+		}
+	}
+	build := o.build
+	if build == nil {
+		build = cluster.Build
+	}
+	pool, width := o.widths()
+	return parallel.MapAll(pool, len(jobs), func(i int) (T, error) {
+		var zero T
+		j := jobs[i]
+		if width > 1 {
+			j.Cfg.IntraRunWorkers = width
+		}
+		c, err := build(j.Cfg)
+		if err != nil {
+			return zero, err
+		}
+		c.SetWallDeadline(o.RunDeadline)
+		v, err := body(o, c, j)
+		if c.DeadlineHit() {
+			return zero, fmt.Errorf("experiment %s: %d-node run seed=%d: %w",
+				j.Label, j.Nodes, j.SeedIdx, errRunDeadline)
+		}
+		if err != nil {
+			return zero, err
+		}
+		if c.Group != nil {
+			gs := c.Group.Stats()
+			avg := 0.0
+			if gs.Windows > 0 {
+				avg = float64(gs.ActiveShardWindows) / float64(gs.Windows)
+			}
+			o.progress("%s nodes=%d seed=%d pdes windows=%d cross-events=%d cross-sends=%d avg-active-shards=%.1f barrier-stall=%.0fms",
+				j.Label, j.Nodes, j.SeedIdx, gs.Windows, gs.CrossShardEvents,
+				c.Fabric.Stats().CrossShardSends, avg, float64(gs.BarrierStallNs)/1e6)
+		}
+		return v, nil
+	})
+}
+
+// firstErr is the lowest-index failure of a sweep, or nil: the verdict of
+// a runner whose runs cannot be quarantined one by one.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // quarantinable reports whether a run failure is isolated to that run —
 // a panic inside the simulation or a per-run wall deadline — and may be
@@ -117,38 +125,37 @@ func quarantinable(err error) bool {
 	return errors.As(err, &pe) || errors.Is(err, errRunDeadline)
 }
 
+// runJobs executes the paper's aggregate benchmark once per descriptor.
+// out[i] corresponds to jobs[i], so aggregations over the result slice are
+// bit-identical to a serial loop. Runs already in o.Checkpoint are replayed
+// instead of simulated, and every simulated run is recorded there.
+//
+// With streamed set, per-call timings go into an online accumulator
+// instead of being retained: each run's memory is O(1) in the call count,
+// which is what lets the huge tier sweep 16k-rank clusters. The streamed
+// stddev comes from Welford's update rather than Summarize's two-pass
+// formula, so it is NOT bitwise-comparable to the retained path — only the
+// huge tier streams.
 func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
-	o = o.withSafeProgress()
-	shard := o.shardWorkers()
-	var cp *checkpoint
-	if o.CheckpointPath != "" {
-		var err error
-		cp, err = openCheckpoint(o.CheckpointPath, o.Resume, o.fingerprint())
-		if err != nil {
-			return nil, err
-		}
+	cp := o.Checkpoint
+	if cp != nil && cp.fp != o.fingerprint() {
+		return nil, fmt.Errorf("experiment: checkpoint %s was opened for other sweep options", cp.path)
 	}
-	outs, errs := parallel.MapAll(o.workers(), len(jobs), func(i int) (runOut, error) {
-		j := jobs[i]
-		key := cpKey(j, streamed)
-		if cp != nil {
-			if r, ok := cp.lookup(key); ok {
-				o.progress("%s nodes=%d seed=%d checkpoint cached mean=%.1fus stddev=%.1fus",
-					j.Label, j.Nodes, j.SeedIdx, r.mean, r.stddev)
-				return r, nil
-			}
+	outs := make([]runOut, len(jobs))
+	errs := make([]error, len(jobs))
+	var todo []runDesc
+	var at []int
+	for i, j := range jobs {
+		if r, ok := cp.lookup(cpKey(j, streamed)); ok {
+			o.progress("%s nodes=%d seed=%d checkpoint cached mean=%.1fus stddev=%.1fus",
+				j.Label, j.Nodes, j.SeedIdx, r.mean, r.stddev)
+			outs[i] = r
+			continue
 		}
-		j.Cfg.Core = o.Core
-		if shard > 1 {
-			j.Cfg.IntraRunWorkers = shard
-		}
-		c, err := buildCluster(j.Cfg)
-		if err != nil {
-			return runOut{}, err
-		}
-		if o.RunDeadline > 0 {
-			c.SetWallDeadline(o.RunDeadline)
-		}
+		todo = append(todo, j)
+		at = append(at, i)
+	}
+	ran, ranErrs := runEach(o, todo, func(o Options, c *cluster.Cluster, j runDesc) (runOut, error) {
 		spec := workload.AggregateSpec{
 			Loops: 1, CallsPerLoop: o.callsFor(c.Procs()), Compute: o.ComputeGrain,
 		}
@@ -159,10 +166,6 @@ func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
 		res, err := workload.RunAggregate(c, spec, 30*sim.Minute)
 		if err != nil {
 			return runOut{}, err
-		}
-		if c.DeadlineHit() {
-			return runOut{}, fmt.Errorf("experiment %s: %d-node run seed=%d: %w",
-				j.Label, j.Nodes, j.SeedIdx, errRunDeadline)
 		}
 		if !res.Completed {
 			return runOut{}, fmt.Errorf("experiment %s: %d-node run did not complete", j.Label, j.Nodes)
@@ -175,27 +178,16 @@ func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
 		}
 		o.progress("%s nodes=%d procs=%d seed=%d mean=%.1fus stddev=%.1fus",
 			j.Label, j.Nodes, c.Procs(), j.SeedIdx, sum.Mean, sum.Stddev)
-		if c.Group != nil {
-			gs := c.Group.Stats()
-			ns := c.Fabric.Stats()
-			avg := 0.0
-			if gs.Windows > 0 {
-				avg = float64(gs.ActiveShardWindows) / float64(gs.Windows)
-			}
-			o.progress("%s nodes=%d seed=%d pdes windows=%d cross-events=%d cross-sends=%d avg-active-shards=%.1f barrier-stall=%.0fms",
-				j.Label, j.Nodes, j.SeedIdx, gs.Windows, gs.CrossShardEvents,
-				ns.CrossShardSends, avg, float64(gs.BarrierStallNs)/1e6)
-		}
 		r := runOut{procs: c.Procs(), mean: sum.Mean, stddev: sum.Stddev}
-		if cp != nil {
-			cp.record(key, r)
-		}
-		return r, nil
+		return r, cp.record(cpKey(j, streamed), r)
 	})
+	for k, i := range at {
+		outs[i], errs[i] = ran[k], ranErrs[k]
+	}
 	// Quarantine isolated failures: the cell keeps its processor count (so
 	// table rows stay aligned) with NaN statistics, which render as "-" and
-	// suppress the fit. Any non-quarantinable error — lowest index first,
-	// matching parallel.Map's old contract — fails the sweep.
+	// suppress the fit. Any non-quarantinable error — lowest index first —
+	// fails the sweep.
 	quarantined := 0
 	for i, err := range errs {
 		if err == nil {
@@ -210,14 +202,7 @@ func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
 		quarantined++
 	}
 	if quarantined == len(jobs) && len(jobs) > 0 {
-		first := 0
-		for i, err := range errs {
-			if err != nil {
-				first = i
-				break
-			}
-		}
-		return nil, fmt.Errorf("experiment: all %d runs quarantined; first failure: %w", quarantined, errs[first])
+		return nil, fmt.Errorf("experiment: all %d runs quarantined; first failure: %w", quarantined, firstErr(errs))
 	}
 	return outs, nil
 }
@@ -234,11 +219,9 @@ type meanSD struct {
 	stddev float64
 }
 
-// runVariantMeans runs every (variant, seed) combination of a sweep
-// through the work pool and aggregates per variant in declaration order:
-// the grand mean of per-run means and the mean of per-run stddevs, exactly
-// as the serial per-variant loop did.
-func runVariantMeans(o Options, label string, nodes int, variants []variantSpec) ([]meanSD, error) {
+// variantJobs enumerates every (variant, seed) run of a design-choice
+// sweep, variant-major.
+func variantJobs(o Options, label string, nodes int, variants []variantSpec) []runDesc {
 	jobs := make([]runDesc, 0, len(variants)*o.Seeds)
 	for _, v := range variants {
 		for s := 0; s < o.Seeds; s++ {
@@ -248,7 +231,15 @@ func runVariantMeans(o Options, label string, nodes int, variants []variantSpec)
 			})
 		}
 	}
-	outs, err := runAggregateJobs(o, jobs)
+	return jobs
+}
+
+// runVariantMeans runs every (variant, seed) combination of a sweep
+// through the work pool and aggregates per variant in declaration order:
+// the grand mean of per-run means and the mean of per-run stddevs, exactly
+// as the serial per-variant loop did.
+func runVariantMeans(o Options, label string, nodes int, variants []variantSpec) ([]meanSD, error) {
+	outs, err := runJobs(o, variantJobs(o, label, nodes, variants), false)
 	if err != nil {
 		return nil, err
 	}

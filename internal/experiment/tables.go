@@ -6,7 +6,6 @@ import (
 	"coschedsim/internal/cluster"
 	"coschedsim/internal/mpi"
 	"coschedsim/internal/noise"
-	"coschedsim/internal/parallel"
 	"coschedsim/internal/sim"
 	"coschedsim/internal/stats"
 	"coschedsim/internal/workload"
@@ -65,10 +64,10 @@ func T2PopulatedSpeedup(o Options) (*Table, error) {
 		nodes = 100
 	}
 	// Both configurations are independent runs; hand them to the pool.
-	outs, err := runAggregateJobs(o, []runDesc{
+	outs, err := runJobs(o, []runDesc{
 		{Label: "t2-vanilla-15tpn", Nodes: nodes, Seed: o.BaseSeed, Cfg: cluster.Vanilla(nodes, 15, o.BaseSeed)},
 		{Label: "t2-prototype-16tpn", Nodes: nodes, Seed: o.BaseSeed, Cfg: cluster.Prototype(nodes, 16, o.BaseSeed)},
-	})
+	}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -113,38 +112,30 @@ func T3ALE3D(o Options) (*Table, error) {
 			{Name: "stalls"},
 		},
 	}
-	type scen struct {
+	scens := []struct {
 		tag string
 		cfg cluster.Config
-	}
-	scens := []scen{
+	}{
 		{"vanilla", cluster.ALE3DVanilla(nodes, 16, o.BaseSeed)},
 		{"cosched-naive", cluster.ALE3DNaive(nodes, 16, o.BaseSeed)},
 		{"cosched-tuned", cluster.ALE3DTuned(nodes, 16, o.BaseSeed)},
 	}
-	op := o.withSafeProgress()
-	shard := o.shardWorkers()
-	outs, err := parallel.Map(op.workers(), len(scens), func(i int) (workload.ALE3DResult, error) {
-		sc := scens[i]
-		sc.cfg.Core = op.Core
-		if shard > 1 {
-			sc.cfg.IntraRunWorkers = shard
-		}
-		c, err := cluster.Build(sc.cfg)
-		if err != nil {
-			return workload.ALE3DResult{}, err
-		}
+	jobs := make([]runDesc, len(scens))
+	for i, sc := range scens {
+		jobs[i] = runDesc{Label: "t3/" + sc.tag, Nodes: nodes, Seed: o.BaseSeed, Cfg: sc.cfg}
+	}
+	outs, errs := runEach(o, jobs, func(o Options, c *cluster.Cluster, j runDesc) (workload.ALE3DResult, error) {
 		res, err := workload.RunALE3D(c, spec, 4*sim.Hour)
 		if err != nil {
 			return workload.ALE3DResult{}, err
 		}
 		if !res.Completed {
-			return res, fmt.Errorf("experiment t3: ALE3D did not complete")
+			return res, fmt.Errorf("experiment %s: ALE3D did not complete", j.Label)
 		}
-		op.progress("t3 %s: wall=%v steps=%v dump=%v", sc.tag, res.Wall, res.StepTime, res.DumpTime)
+		o.progress("%s: wall=%v steps=%v dump=%v", j.Label, res.Wall, res.StepTime, res.DumpTime)
 		return res, nil
 	})
-	if err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	for i, sc := range scens {
@@ -186,19 +177,16 @@ func T4Noise(o Options) (*Table, error) {
 			return c
 		}()},
 	}
-	op := o.withSafeProgress()
-	fractions, err := parallel.Map(op.workers(), len(noiseCfgs), func(i int) (float64, error) {
-		cfg := noiseCfgs[i].cfg
-		cfg.Core = op.Core
-		c, err := cluster.Build(cfg)
-		if err != nil {
-			return 0, err
-		}
+	noiseJobs := make([]runDesc, len(noiseCfgs))
+	for i, nc := range noiseCfgs {
+		noiseJobs[i] = runDesc{Label: "t4-" + nc.tag, Nodes: 1, Seed: o.BaseSeed, Cfg: nc.cfg}
+	}
+	fractions, errs := runEach(o, noiseJobs, func(_ Options, c *cluster.Cluster, _ runDesc) (float64, error) {
 		// Occupy the CPUs the way a compute phase would.
 		c.Launch(func(r *mpi.Rank) { r.Compute(60*sim.Second, r.Done) }, 61*sim.Second)
 		return c.Noise[0].Measure(60 * sim.Second).PerCPUFraction, nil
 	})
-	if err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	for i, nc := range noiseCfgs {
@@ -228,7 +216,7 @@ func T4Noise(o Options) (*Table, error) {
 		cfg.MPI.ProgressInterval = pc.interval
 		jobs = append(jobs, runDesc{Label: "t4-" + pc.tag, Nodes: nodes, Seed: o.BaseSeed, Cfg: cfg})
 	}
-	outs, err := runAggregateJobs(o, jobs)
+	outs, err := runJobs(o, jobs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -261,19 +249,12 @@ func T5AllreduceFraction(o Options) (*Table, error) {
 		share float64
 		wall  sim.Time
 	}
-	op := o.withSafeProgress()
-	shard := o.shardWorkers()
-	outs, err := parallel.Map(op.workers(), len(sweep), func(i int) (bspOut, error) {
-		nodes := sweep[i]
-		cfg := cluster.Vanilla(nodes, 16, op.BaseSeed+int64(nodes))
-		cfg.Core = op.Core
-		if shard > 1 {
-			cfg.IntraRunWorkers = shard
-		}
-		c, err := cluster.Build(cfg)
-		if err != nil {
-			return bspOut{}, err
-		}
+	jobs := make([]runDesc, len(sweep))
+	for i, nodes := range sweep {
+		seed := o.BaseSeed + int64(nodes)
+		jobs[i] = runDesc{Label: "t5", Nodes: nodes, Seed: seed, Cfg: cluster.Vanilla(nodes, 16, seed)}
+	}
+	outs, errs := runEach(o, jobs, func(o Options, c *cluster.Cluster, j runDesc) (bspOut, error) {
 		spec := workload.BSPSpec{
 			Steps:             100,
 			ComputeMean:       sim.Millisecond,
@@ -285,12 +266,12 @@ func T5AllreduceFraction(o Options) (*Table, error) {
 			return bspOut{}, err
 		}
 		if !res.Completed {
-			return bspOut{}, fmt.Errorf("experiment t5: %d-node run did not complete", nodes)
+			return bspOut{}, fmt.Errorf("experiment t5: %d-node run did not complete", j.Nodes)
 		}
-		op.progress("t5 nodes=%d share=%.1f%%", nodes, res.CollectiveShare*100)
+		o.progress("t5 nodes=%d share=%.1f%%", j.Nodes, res.CollectiveShare*100)
 		return bspOut{procs: c.Procs(), share: res.CollectiveShare, wall: res.Wall}, nil
 	})
-	if err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	for _, r := range outs {

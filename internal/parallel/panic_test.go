@@ -12,12 +12,13 @@ import (
 // pooled path.
 func TestMapConvertsPanicToError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, 8, func(i int) (int, error) {
+		_, errs := MapAll(workers, 8, func(i int) (int, error) {
 			if i == 3 {
 				panic("boom")
 			}
 			return i, nil
 		})
+		err := errs[3]
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)

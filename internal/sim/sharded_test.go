@@ -34,8 +34,13 @@ const (
 	diffM      = 1 << 16
 	diffU      = Time(diffShards * diffM)
 	diffCap    = 1200 // per-shard scheduling budget
+	diffTimers = 3    // owned timers per shard: enough that cancels hit one
 )
 
+// mix hashes its arguments into one harness decision word: an FNV-style
+// fold, finished with splitmix64's finalizer so every output bit depends on
+// every input bit. The fold alone left whole bit ranges constant across ids
+// and made (h>>32)%5 determine (h>>40)%5, so some decisions never fired.
 func mix(vs ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vs {
@@ -43,18 +48,25 @@ func mix(vs ...uint64) uint64 {
 		h *= 0x100000001b3
 		h ^= h >> 33
 	}
-	return h
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
-// avalanche is splitmix64's finalizer: every output bit depends on every
-// input bit, which mix's few rounds do not give the middle bits.
-func avalanche(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
-}
+// The harness's hashed decisions, counted per shard so a test can check
+// that the hash reaches every one of them.
+const (
+	decLocal       = iota // schedule tracked locals
+	decCross              // send a cross-shard event
+	decCourier            // hand a courier on by ArmOn
+	decCancel             // cancel a tracked event
+	decCancelRearm        // re-arm a canceled owned timer
+	decReschedule         // reschedule a tracked event
+	decTimerRearm         // a timer re-arms itself from its own callback
+	numDecisions
+)
 
 type fireRec struct {
 	when   Time
@@ -75,6 +87,7 @@ type diffShard struct {
 	timers   map[int]*diffOwned // pending owned timers, by arming id
 	couriers []*diffOwned       // idle couriers this shard holds
 	log      []fireRec
+	taken    [numDecisions]int // how often each hashed decision was taken
 }
 
 // diffOwned is one owned event record of the harness: a shard's timer, or
@@ -214,6 +227,9 @@ func (d *diffHarness) fired(shard, id int, staged Time) {
 	}
 	h := mix(d.seed, uint64(id))
 	q := coarse(now)
+	if h%3 > 0 {
+		st.taken[decLocal]++
+	}
 	for k := uint64(0); k < h%3; k++ {
 		d.scheduleLocal(shard, q, h>>(8+4*k))
 	}
@@ -222,13 +238,16 @@ func (d *diffHarness) fired(shard, id int, staged Time) {
 		crossOdds = 2
 	}
 	if (h>>16)%crossOdds == 0 {
+		st.taken[decCross]++
 		dst := (shard + 1 + int(h>>20)%(diffShards-1)) % diffShards
 		d.scheduleCross(shard, dst, q, h>>24)
 	}
-	if c := avalanche(h); c%3 == 0 {
+	if c := mix(h, 1); c%3 == 0 {
+		st.taken[decCourier]++
 		d.sendCourier(shard, int(c>>2%diffShards), q, c>>8)
 	}
 	if (h>>32)%5 == 0 && len(st.ids) > 0 {
+		st.taken[decCancel]++
 		victim := st.ids[int(h>>36)%len(st.ids)]
 		e.Cancel(st.pending[victim])
 		delete(st.pending, victim)
@@ -240,11 +259,13 @@ func (d *diffHarness) fired(shard, id int, staged Time) {
 		}
 		if o, ok := st.timers[victim]; ok {
 			delete(st.timers, victim)
-			if c := avalanche(h ^ 0xa1); c%2 == 0 {
-				d.armTimer(shard, o, q, c>>1) // Cancel, then Arm again
+			if c := mix(h, 2); c%4 != 0 {
+				st.taken[decCancelRearm]++
+				d.armTimer(shard, o, q, c>>2) // Cancel, then Arm again
 			}
 		}
 	} else if (h>>40)%5 == 0 && len(st.ids) > 0 && st.n < diffCap {
+		st.taken[decReschedule]++
 		victim := st.ids[int(h>>44)%len(st.ids)]
 		_, slot := d.alloc(shard)
 		e.Reschedule(st.pending[victim], (q+1+Time(h>>48)%4)*diffU+slot)
@@ -252,9 +273,9 @@ func (d *diffHarness) fired(shard, id int, staged Time) {
 }
 
 // seedWork arms the initial events: three tracked locals, one recurring
-// tick and one owned timer per shard, and gives each shard an idle
+// tick and diffTimers owned timers per shard, and gives each shard an idle
 // courier. The recurring callback re-arms at unique times until its budget
-// runs out, exercising Recur's in-place re-arm inside windows; the timer
+// runs out, exercising Recur's in-place re-arm inside windows; a timer
 // often re-arms itself from its own callback.
 func (d *diffHarness) seedWork() {
 	for s := 0; s < diffShards; s++ {
@@ -262,16 +283,19 @@ func (d *diffHarness) seedWork() {
 		for i := 0; i < 3; i++ {
 			d.scheduleLocal(s, 0, mix(d.seed, uint64(1000+s*10+i)))
 		}
-		timer := &diffOwned{}
-		timer.ev.Bind("timer", func() {
-			id := timer.id
-			delete(d.state[s].timers, id)
-			d.fired(s, id, 0)
-			if c := avalanche(mix(d.seed, uint64(id))); c%4 != 0 && !timer.ev.Pending() {
-				d.armTimer(s, timer, coarse(d.engines[s].Now()), c>>2)
-			}
-		})
-		d.armTimer(s, timer, 0, mix(d.seed, uint64(2000+s)))
+		for i := 0; i < diffTimers; i++ {
+			timer := &diffOwned{}
+			timer.ev.Bind("timer", func() {
+				id := timer.id
+				delete(d.state[s].timers, id)
+				d.fired(s, id, 0)
+				if c := mix(d.seed, uint64(id), 3); c%4 != 0 && !timer.ev.Pending() {
+					d.state[s].taken[decTimerRearm]++
+					d.armTimer(s, timer, coarse(d.engines[s].Now()), c>>2)
+				}
+			})
+			d.armTimer(s, timer, 0, mix(d.seed, uint64(2000+s*10+i)))
+		}
 		courier := &diffOwned{}
 		courier.ev.Bind("courier", func() {
 			at := courier.at
@@ -390,6 +414,27 @@ func checkMergeOrder(t *testing.T, tag string, log []fireRec) {
 			}
 			if src(x) == src(y) && x.id < y.id || src(x) < src(y) && x.staged <= y.staged {
 				t.Fatalf("%s: cross-shard %+v fired after %+v, which it precedes in merge order", tag, x, y)
+			}
+		}
+	}
+}
+
+// TestDiffHarnessDecisionsFire checks that the harness hash reaches every
+// decision: on seeds 1 and 7 each kind of operation happens, so the
+// differential tests exercise all of them.
+func TestDiffHarnessDecisionsFire(t *testing.T) {
+	names := [numDecisions]string{"local", "cross", "courier", "cancel", "cancel-rearm", "reschedule", "timer-rearm"}
+	for _, seed := range []uint64{1, 7} {
+		d := runShardedHarness(seed, 1, -1, false)
+		var taken [numDecisions]int
+		for _, st := range d.state {
+			for k, n := range st.taken {
+				taken[k] += n
+			}
+		}
+		for k, n := range taken {
+			if n == 0 {
+				t.Errorf("seed %d: decision %s never taken (%v)", seed, names[k], taken)
 			}
 		}
 	}
